@@ -37,6 +37,11 @@ CONDITION_LIMIT = 1e12
 #: Default gradient-norm threshold below which a constraint is inactive.
 DEGENERACY_TOL = 1e-10
 
+#: Largest Jacobi-scaled absolute row sum ``r`` at which Gershgorin's theorem
+#: alone certifies the condition limit: a unit-diagonal symmetric matrix has
+#: its eigenvalues in ``[2 - r, r]``, so ``r / (2 - r) <= CONDITION_LIMIT``.
+_GERSHGORIN_ROW_SUM = 2.0 * CONDITION_LIMIT / (1.0 + CONDITION_LIMIT)
+
 _SYMMETRY_RTOL = 1e-12
 _DIAGONAL_RTOL = 1e-14
 
@@ -241,40 +246,24 @@ class MetricTensor:
         return self._chol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``M x = rhs`` for a vector or a matrix of columns."""
+        """Solve ``M x = rhs`` along the last axis of a vector or a stack of rows."""
         rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.size:
+        if rhs.shape[-1:] != (self.size,):
             raise DimensionError(
-                f"rhs has leading dimension {rhs.shape[0]}, metric size {self.size}"
+                f"rhs has trailing dimension {rhs.shape[-1:]}, metric size {self.size}"
             )
         if self.kind == "diagonal":
-            if np.any(self._diag <= 0):
+            if (self._diag <= 0).any():
                 raise SingularMetricError("diagonal metric has non-positive entries")
+            return rhs / self._diag
+        if self.kind == "dense":
             if rhs.ndim == 1:
-                return rhs / self._diag
-            return rhs / self._diag[:, None]
-        if self.kind == "dense":
-            return linalg.cho_solve((self._factor(), True), rhs)
-        out = np.empty_like(rhs, dtype=float)
+                return linalg.cho_solve((self._factor(), True), rhs)
+            columns = rhs.reshape(-1, self.size).T
+            return linalg.cho_solve((self._factor(), True), columns).T.reshape(rhs.shape)
+        out = np.empty_like(rhs)
         for blk, lo, hi in self._iter_blocks():
-            out[lo:hi] = blk.solve(rhs[lo:hi])
-        return out
-
-    def whiten(self, vectors: np.ndarray) -> np.ndarray:
-        """Apply ``L^{-1}`` where ``M = L L^T``; makes Gram products exact SPD."""
-        vectors = np.asarray(vectors, dtype=float)
-        if self.kind == "diagonal":
-            if np.any(self._diag <= 0):
-                raise SingularMetricError("diagonal metric has non-positive entries")
-            root = np.sqrt(self._diag)
-            if vectors.ndim == 1:
-                return vectors / root
-            return vectors / root[:, None]
-        if self.kind == "dense":
-            return linalg.solve_triangular(self._factor(), vectors, lower=True)
-        out = np.empty_like(vectors, dtype=float)
-        for blk, lo, hi in self._iter_blocks():
-            out[lo:hi] = blk.whiten(vectors[lo:hi])
+            out[..., lo:hi] = blk.solve(rhs[..., lo:hi])
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -439,86 +428,112 @@ class ConstraintSystem(NamedTuple):
     active: tuple[int, ...]
 
 
-def drop_degenerate_constraints(gradients, tol: float) -> tuple[int, ...]:
-    """Indices of gradients with Euclidean norm above ``tol``, in order.
+def _is_active(gradients: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each gradient (last axis) has Euclidean norm above ``tol``.
 
-    Keeps states like lake-at-rest (vanishing energy gradient) from making
-    the constraint matrix singular.
+    The one degeneracy rule of the package: a gradient whose norm is at most
+    ``tol`` is inactive for that state.  Keeps states like lake-at-rest
+    (vanishing energy gradient) from making ``C`` singular.
     """
     if tol <= 0:
         raise ValidationError("degeneracy tolerance must be positive")
+    return np.vecdot(gradients, gradients) > tol * tol
+
+
+def drop_degenerate_constraints(gradients, tol: float) -> tuple[int, ...]:
+    """Indices of gradients with Euclidean norm above ``tol``, in order."""
     return tuple(
-        i for i, g in enumerate(gradients) if np.linalg.norm(np.asarray(g)) > tol
+        i for i, g in enumerate(gradients) if _is_active(np.asarray(g, dtype=float), tol)
     )
 
 
 def _equilibrated(c: np.ndarray, b: np.ndarray):
-    """Jacobi-scale C so conditioning reflects dependence, not units."""
-    d = np.diag(c).copy()
-    d[d <= 0] = 1.0
-    s = 1.0 / np.sqrt(d)
-    return s[:, None] * c * s[None, :], s * b, s
+    """Jacobi-scale each ``C`` (positive diagonal) so conditioning reflects
+    dependence, not units."""
+    s = 1.0 / np.sqrt(c.diagonal(axis1=-2, axis2=-1))
+    return c * (s[..., :, None] * s[..., None, :]), b * s, s
 
 
-def _condition_estimate(c_scaled: np.ndarray) -> float:
+def _condition_estimate(c_scaled: np.ndarray) -> np.ndarray:
+    """Eigenvalue condition number of each symmetric matrix; inf if singular."""
     eigs = np.linalg.eigvalsh(c_scaled)
-    emax = eigs[-1]
-    emin = eigs[0]
-    if emax <= 0:
-        return np.inf
-    if emin <= 0:
-        return np.inf
-    return emax / emin
+    lo, hi = eigs[..., 0], eigs[..., -1]
+    positive = lo > 0
+    return np.where(positive, hi / np.where(positive, lo, 1.0), np.inf)
 
 
 def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the constraint equation ``C lambda = b``.
+    """Solve the constraint equations ``C lambda = b``, one per batch member.
 
-    Uses a symmetric factorization; if the (equilibrated) condition estimate
-    exceeds :data:`CONDITION_LIMIT` the solve falls back to minimum-norm least
-    squares and an :class:`IllConditionedConstraintWarning` is issued so run
-    diagnostics can record it.
+    ``c`` is ``(..., m, m)`` and ``b`` is ``(..., m)``.  A row with a zero
+    diagonal (a gradient with no weight, or one the caller masked out) gets
+    multiplier zero.  Each system is Jacobi-equilibrated.  Members whose
+    scaled matrix Gershgorin's theorem certifies below
+    :data:`CONDITION_LIMIT` skip the condition estimate; the others get an
+    eigenvalue estimate, and those above the limit fall back to minimum-norm
+    least squares with one :class:`IllConditionedConstraintWarning` for the
+    call, so run diagnostics can record it.  Everything else goes through
+    one batched ``np.linalg.solve``.  A numpy ``LinAlgError`` surfaces as
+    :class:`ConstraintConditioningError`.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
-    m = b.shape[0]
+    m = b.shape[-1]
+    if c.shape != b.shape + (m,):
+        raise DimensionError(f"constraint matrix shape {c.shape} does not match b {b.shape}")
+    batch = b.shape[:-1]
     if m == 0:
-        return np.zeros(0)
-    if c.shape != (m, m):
-        raise DimensionError(f"constraint matrix shape {c.shape} does not match b")
-    if np.max(np.abs(c - c.T), initial=0.0) > _SYMMETRY_RTOL * max(
-        np.max(np.abs(c)), 1e-300
-    ):
-        raise ValidationError("constraint matrix must be symmetric")
-    if not np.any(c):
-        return np.zeros(m)
+        return np.zeros(b.shape)
+    c = c.reshape(-1, m, m)
+    b = b.reshape(-1, m)
+    null = c.diagonal(axis1=1, axis2=2) <= 0
+    if null.any():
+        c = np.where(null[:, :, None] | null[:, None, :], np.eye(m), c)
+        b = np.where(null, 0.0, b)
     cs, bs, s = _equilibrated(c, b)
-    # Gershgorin fast path: unit diagonal with small off-diagonal row sums
-    # bounds the condition number near 1, so the estimate can be skipped.
-    off_row = np.max(np.sum(np.abs(cs - np.eye(m)), axis=1))
-    if off_row < 0.5:
-        lam_scaled = linalg.cho_solve(linalg.cho_factor(cs, lower=True), bs)
-        return s * lam_scaled
-    cond = _condition_estimate(cs)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        warnings.warn(
-            f"constraint equation ill-conditioned (estimate {cond:.3e}); "
-            "using minimum-norm least squares",
-            IllConditionedConstraintWarning,
-            stacklevel=2,
-        )
-        lam_scaled, *_ = np.linalg.lstsq(cs, bs, rcond=None)
-    else:
-        lam_scaled = linalg.cho_solve(linalg.cho_factor(cs, lower=True), bs)
-    return s * lam_scaled
+    # relative to the unit diagonal, so one tolerance serves every member
+    if abs(cs - cs.swapaxes(1, 2)).max() > _SYMMETRY_RTOL:
+        raise ValidationError("constraint matrix must be symmetric")
+    try:
+        slow = abs(cs).sum(axis=2).max(axis=1) > _GERSHGORIN_ROW_SUM
+        ill = slow
+        if slow.any():
+            cond = _condition_estimate(cs[slow])
+            ill = slow.copy()
+            ill[slow] = ~(cond <= CONDITION_LIMIT)
+        if not ill.any():
+            lam = np.linalg.solve(cs, bs[..., None])[..., 0]
+        else:
+            warnings.warn(
+                f"constraint equation ill-conditioned in {int(ill.sum())} of "
+                f"{ill.size} member(s) (estimate {np.max(cond[ill[slow]]):.3e}); "
+                "using minimum-norm least squares",
+                IllConditionedConstraintWarning,
+                stacklevel=2,
+            )
+            well = np.where(ill[:, None, None], np.eye(m), cs)
+            lam = np.linalg.solve(well, bs[..., None])[..., 0]
+            for k in np.flatnonzero(ill):
+                lam[k] = np.linalg.lstsq(cs[k], bs[k], rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConstraintConditioningError(f"constraint equation solve failed: {exc}") from exc
+    return (s * lam).reshape(batch + (m,))
 
 
-def _active_gradients(a, system: RonsSystem):
-    grads = [np.asarray(q.gradient(a), dtype=float) for q in system.constraints]
-    active = drop_degenerate_constraints(grads, system.degeneracy_tol)
-    if not active:
-        return None, ()
-    return np.column_stack([grads[i] for i in active]), active
+def _lagrange_system(metric: MetricTensor, velocity: np.ndarray, gradients):
+    """Stack the gradients and assemble ``C = G M^{-1} G^T`` and ``b = G v``.
+
+    ``velocity`` is ``(..., w)``; each gradient is ``(..., w)`` or a constant
+    ``(w,)`` and broadcasts against it.  Returns ``G`` and ``M^{-1} G`` as
+    ``(..., m, w)``, ``C`` as ``(..., m, m)`` and ``b`` as ``(..., m)``.
+    """
+    g = np.empty(velocity.shape[:-1] + (len(gradients), velocity.shape[-1]))
+    for k, gradient in enumerate(gradients):
+        g[..., k, :] = gradient
+    solved = metric.solve(g)
+    c = solved @ g.swapaxes(-1, -2)
+    b = (g @ velocity[..., None])[..., 0]
+    return g, solved, c, b
 
 
 def evaluate_constraint_system(
@@ -527,45 +542,61 @@ def evaluate_constraint_system(
     """Assemble ``C`` and ``b`` for the active constraints at state ``a``.
 
     ``C[i, j] = <grad I_i, M^{-1} grad I_j>`` and ``b[i] = <grad I_i, M^{-1} f>``,
-    computed with one metric solve per active gradient (plus one for ``f``);
-    the inverse metric is never formed.  With ``check_conditioning`` the
-    (equilibrated) conditioning of ``C`` is verified and numerically dependent
-    gradients raise :class:`ConstraintConditioningError`; the time-stepping
-    path disables the check and relies on :func:`solve_lagrange`'s fallback.
+    assembled exactly as :func:`apply_invariant_correction` does; the inverse
+    metric is never formed.  With ``check_conditioning`` the (equilibrated)
+    conditioning of ``C`` is verified and numerically dependent gradients
+    raise :class:`ConstraintConditioningError`; the time-stepping path has
+    no such check and relies on :func:`solve_lagrange`'s fallback.
     """
-    a = state_values(a)
-    grad_matrix, active = _active_gradients(a, system)
-    if grad_matrix is None:
+    if not system.constraints:
         return ConstraintSystem(np.zeros((0, 0)), np.zeros(0), ())
-    whitened = system.metric.whiten(grad_matrix)
-    c = whitened.T @ whitened
+    a = state_values(a)
     velocity = system.metric.solve(np.asarray(system.rhs(a), dtype=float))
-    b = grad_matrix.T @ velocity
-    if check_conditioning:
-        cs, _, _ = _equilibrated(c, b)
-        cond = _condition_estimate(cs)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    g, _, c, b = _lagrange_system(
+        system.metric, velocity, [q.gradient(a) for q in system.constraints]
+    )
+    active = np.flatnonzero(_is_active(g, system.degeneracy_tol))
+    c, b = c[np.ix_(active, active)], b[active]
+    if check_conditioning and active.size:
+        cond = float(_condition_estimate(_equilibrated(c, b)[0]))
+        if not cond <= CONDITION_LIMIT:
             raise ConstraintConditioningError(
                 f"active constraint gradients are numerically dependent "
                 f"(condition estimate {cond:.3e})"
             )
-    return ConstraintSystem(c, b, active)
+    return ConstraintSystem(c, b, tuple(int(i) for i in active))
 
 
 def apply_invariant_correction(
-    metric: MetricTensor, velocity: np.ndarray, gradient_columns: np.ndarray
+    metric: MetricTensor,
+    velocity: np.ndarray,
+    gradients: Sequence[np.ndarray],
+    tol: float = DEGENERACY_TOL,
 ) -> np.ndarray:
     """Project ``velocity`` onto the tangent space of the active invariants.
 
-    ``velocity`` is the unconstrained solve ``M^{-1} f`` (for finite volume,
-    the flux vector itself, since there ``f = M F`` exactly).  Returns
-    ``velocity - M^{-1} G lambda`` with ``C lambda = b`` and ``b = G^T velocity``.
+    The one Lagrange correction of the package, batch-transparent:
+    ``velocity`` is ``(..., w)``, the unconstrained solve ``M^{-1} f`` (for
+    finite volume, the flux vector itself, since there ``f = M F`` exactly),
+    and each gradient is ``(..., w)`` or a constant ``(w,)``.  Returns
+    ``velocity - M^{-1} G^T lambda`` with ``C lambda = b``,
+    ``C = G M^{-1} G^T`` and ``b = G velocity``, member by member.  Gradients
+    with norm at most ``tol`` are masked per member (multiplier zero); with
+    no active gradient anywhere ``velocity`` comes back unchanged, bit for bit.
     """
-    whitened = metric.whiten(gradient_columns)
-    c = whitened.T @ whitened
-    b = gradient_columns.T @ velocity
+    velocity = np.asarray(velocity, dtype=float)
+    if len(gradients) == 0:
+        return velocity
+    g, solved, c, b = _lagrange_system(metric, velocity, gradients)
+    active = _is_active(g, tol)
+    if not active.any():
+        return velocity
+    if not active.all():
+        # zero rows and columns: solve_lagrange gives them multiplier zero
+        c = np.where(active[..., :, None] & active[..., None, :], c, 0.0)
+        b = np.where(active, b, 0.0)
     lam = solve_lagrange(c, b)
-    return velocity - metric.solve(gradient_columns) @ lam
+    return velocity - (lam[..., None, :] @ solved)[..., 0, :]
 
 
 def grons_rhs(a, system: RonsSystem) -> np.ndarray:
@@ -577,12 +608,13 @@ def grons_rhs(a, system: RonsSystem) -> np.ndarray:
     change up to the linear-solve tolerance.
     """
     a = state_values(a)
-    f = np.asarray(system.rhs(a), dtype=float)
-    velocity = system.metric.solve(f)
-    grad_matrix, _ = _active_gradients(a, system)
-    if grad_matrix is None:
-        return velocity
-    return apply_invariant_correction(system.metric, velocity, grad_matrix)
+    velocity = system.metric.solve(np.asarray(system.rhs(a), dtype=float))
+    return apply_invariant_correction(
+        system.metric,
+        velocity,
+        [q.gradient(a) for q in system.constraints],
+        system.degeneracy_tol,
+    )
 
 
 def project_onto_levels(

@@ -95,22 +95,25 @@ def fvrons_rhs(
 
     ``dU/dt = F(U) - sum_k lambda_k M^{-1} grad I_k`` with the diagonal cell
     metric (pass a prebuilt ``metric`` to skip reassembly in hot loops).
+    Batch-transparent: ``U`` is ``(..., p, n)`` and each member gets its own
+    multipliers, with degenerate gradients masked member by member.  The
+    constraint gradients receive the flattened ``(..., p * n)`` states.
     With an empty (or fully degenerate) constraint list the result is the
     plain :func:`fv_rhs` output, bit for bit.
     """
     flux = fv_rhs(U, scheme, grid)
     if not constraints:
         return flux
-    flat = np.asarray(U, dtype=float).reshape(-1)
-    grads = [np.asarray(q.gradient(flat), dtype=float) for q in constraints]
-    active = core.drop_degenerate_constraints(grads, degeneracy_tol)
-    if not active:
-        return flux
-    grad_matrix = np.column_stack([grads[i] for i in active])
+    U = np.asarray(U, dtype=float)
+    flat_shape = U.shape[:-2] + (-1,)
+    flat = U.reshape(flat_shape)
     if metric is None:
-        metric = fv_metric(grid, U.shape[0])
+        metric = fv_metric(grid, U.shape[-2])
     corrected = core.apply_invariant_correction(
-        metric, flux.reshape(-1), grad_matrix
+        metric,
+        flux.reshape(flat_shape),
+        [q.gradient(flat) for q in constraints],
+        degeneracy_tol,
     )
     return corrected.reshape(U.shape)
 

@@ -321,11 +321,22 @@ class PodBasis:
         return core.ParameterLayout.single_complex(self.n_modes)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Complex mode coefficients ``<phi_i, values>`` (no mean handling)."""
+        """Complex mode coefficients ``<phi_i, values>`` along the last axis
+        (no mean handling)."""
         values = np.asarray(values, dtype=complex)
-        if values.shape[0] != self.n_grid:
+        if values.shape[-1] != self.n_grid:
             raise DimensionError("field lives on a different grid than the basis")
-        return self.dx * (self.modes.conj() @ values)
+        return self.dx * (values @ self.modes.conj().T)
+
+    def amplitudes(self, a) -> np.ndarray:
+        """Complex amplitudes ``z = a_re - i a_im`` of stacked real states
+        ``(..., 2 N)``; the inverse of :func:`stack_amplitudes`."""
+        values = core.state_values(a)
+        if values.shape[-1] != 2 * self.n_modes:
+            raise DimensionError(
+                f"state has width {values.shape[-1]}, expected {2 * self.n_modes}"
+            )
+        return values[..., : self.n_modes] - 1j * values[..., self.n_modes :]
 
     def reconstruct(self, amplitudes: np.ndarray) -> np.ndarray:
         """Grid field ``mean + sum_i z_i phi_i``."""
@@ -333,8 +344,12 @@ class PodBasis:
 
     def reconstruct_state(self, a) -> np.ndarray:
         """Grid field from a stacked real parameter vector."""
-        values = core.state_values(a)
-        return self.reconstruct(self.layout.unpack(values)[0])
+        return self.reconstruct(self.amplitudes(a))
+
+
+def stack_amplitudes(z: np.ndarray) -> np.ndarray:
+    """Stacked real storage ``[Re z, -Im z]`` of complex amplitudes, last axis."""
+    return np.concatenate([z.real, -z.imag], axis=-1)
 
 
 def compute_pod(snapshots: np.ndarray, n_modes: int, length: float) -> PodBasis:
@@ -397,36 +412,38 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
 
     Gradients come from the chain rule through ``u(a) = mean + sum z_i phi_i``
     with ``z = a_re - i a_im``: for a functional with first variation
-    ``dI = Re <w, du>`` the stacked gradient is ``[Re r, Im r]`` where
-    ``r_i = <w, phi_i>``.
+    ``dI = Re <w, du>`` the stacked gradient is ``[Re r, Im r]`` with
+    ``r_i = <w, phi_i>``, which is ``stack_amplitudes`` of the projection
+    ``conj(r_i) = <phi_i, w>``.  The mass variation ``w = 2 u`` and the
+    kinetic part ``w = -u_xx / 4`` are affine in ``z``, so their projections
+    are precomputed Gram matrices; only the quartic part ``w = -|u|^2 u``
+    needs the grid field.  Gradients are batch-transparent over leading axes.
     """
     dx = basis.dx
-    modes = basis.modes
-    mode_dx = basis.mode_derivatives
-
-    def fields(a):
-        z = basis.layout.unpack(core.state_values(a))[0]
-        u = basis.reconstruct(z)
-        ux = basis.mean_derivative + z @ mode_dx
-        return u, ux
+    mode_dx_h = basis.mode_derivatives.conj().T
+    mass_offset = basis.project(basis.mean)
+    mass_gram = basis.project(basis.modes)
+    stiffness_offset = dx * (basis.mean_derivative @ mode_dx_h)
+    stiffness = dx * (basis.mode_derivatives @ mode_dx_h)
 
     def mass_value(a):
-        u, _ = fields(a)
+        u = basis.reconstruct_state(a)
         return dx * float(np.sum(np.abs(u) ** 2))
 
     def mass_gradient(a):
-        u, _ = fields(a)
-        r = 2.0 * dx * (modes @ np.conj(u))
-        return np.concatenate([r.real, r.imag])
+        return stack_amplitudes(2.0 * (mass_offset + basis.amplitudes(a) @ mass_gram))
 
     def energy_value(a):
-        u, ux = fields(a)
+        z = basis.amplitudes(a)
+        u = basis.reconstruct(z)
+        ux = basis.mean_derivative + z @ basis.mode_derivatives
         return dx * float(np.sum(np.abs(ux) ** 2) / 8.0 - np.sum(np.abs(u) ** 4) / 4.0)
 
     def energy_gradient(a):
-        u, ux = fields(a)
-        r = 0.25 * dx * (mode_dx @ np.conj(ux)) - dx * (modes @ (np.abs(u) ** 2 * np.conj(u)))
-        return np.concatenate([r.real, r.imag])
+        z = basis.amplitudes(a)
+        u = basis.reconstruct(z)
+        kinetic = 0.25 * (stiffness_offset + z @ stiffness)
+        return stack_amplitudes(kinetic - basis.project((u * u.conj()).real * u))
 
     return (
         core.ConservedQuantity("mass", mass_value, mass_gradient),
@@ -449,22 +466,20 @@ def rom_rhs(a, basis: PodBasis, quantities: Sequence[core.ConservedQuantity] = (
     The plain-Galerkin path projects the pseudo-spectral right-hand side onto
     the modes (identity metric, orthonormal modes).  With quantities the
     Lagrange correction enforces their conservation exactly in continuous
-    time -- the invariant-constrained reduced model.
+    time -- the invariant-constrained reduced model.  Batch-transparent:
+    ``a`` is ``(..., 2 N)`` and each member gets its own multipliers.
     """
     values = core.state_values(a)
-    z = basis.layout.unpack(values)[0]
-    u = basis.reconstruct(z)
-    f_complex = basis.project(nls_rhs_values(u, basis.length))
-    f = basis.layout.pack([f_complex])
+    u = basis.reconstruct_state(values)
+    f = stack_amplitudes(basis.project(nls_rhs_values(u, basis.length)))
     if not quantities:
         return f
-    grads = [np.asarray(q.gradient(values), dtype=float) for q in quantities]
-    active = core.drop_degenerate_constraints(grads, degeneracy_tol)
-    if not active:
-        return f
-    grad_matrix = np.column_stack([grads[i] for i in active])
-    metric = core.MetricTensor.identity(f.shape[0])
-    return core.apply_invariant_correction(metric, f, grad_matrix)
+    return core.apply_invariant_correction(
+        core.MetricTensor.identity(f.shape[-1]),
+        f,
+        [q.gradient(values) for q in quantities],
+        degeneracy_tol,
+    )
 
 
 def rom_run(
@@ -515,10 +530,9 @@ def rom_run(
 # Batched engines: many seeds advanced as one stacked state.
 #
 # On a single core these replace process fan-out for ensembles; they evaluate
-# the same operators (batch-transparent, last-axis layout) so results match
-# the per-run functions to solver round-off.  Constraint degeneracy dropping
-# is not applied member-wise here; batched runs are meant for statistically
-# active states (the tests verify agreement against the per-run path).
+# the same batch-transparent operators as the per-run functions (last-axis
+# layout, the same constraint kernel with member-wise degeneracy masking and
+# least-squares fallback), so results match those functions to round-off.
 
 
 def dns_run_batch(
@@ -591,57 +605,22 @@ def rom_run_batch(
 ) -> tuple[list[SnapshotSeries], dict]:
     """Advance many reduced models together (plain or invariant-constrained).
 
-    ``a0_batch`` is (n_runs, 2 N) stacked real amplitudes.  With ``enforce``
-    the mass and energy corrections are applied member-wise via batched
-    2 x 2 Lagrange solves.
+    ``a0_batch`` is (n_runs, 2 N) stacked real amplitudes.  Each step
+    evaluates :func:`rom_rhs` on the whole batch; with ``enforce`` that is
+    the mass- and energy-constrained model of :func:`rom_quantities`, with
+    one Lagrange solve per member.
     """
     a0_batch = np.atleast_2d(np.asarray(a0_batch, dtype=float))
-    n_red = basis.n_modes
-    if a0_batch.shape[1] != 2 * n_red:
-        raise DimensionError("stacked states must have width 2 * n_modes")
-    dx = basis.dx
-    modes = basis.modes
-    mode_dx = basis.mode_derivatives
-    mean = basis.mean
-    mean_dx = basis.mean_derivative
     length = basis.length
-
-    def unpack(A):
-        return A[:, :n_red] - 1j * A[:, n_red:]
+    quantities = rom_quantities(basis) if enforce else ()
 
     def rhs(A):
-        z = unpack(A)
-        u = mean + z @ modes
-        f_c = dx * (nls_rhs_values(u, length) @ modes.conj().T)
-        f = np.concatenate([f_c.real, -f_c.imag], axis=1)
-        if not enforce:
-            return f
-        ux = mean_dx + z @ mode_dx
-        r_mass = 2.0 * dx * (np.conj(u) @ modes.T)
-        r_energy = 0.25 * dx * (np.conj(ux) @ mode_dx.T) - dx * (
-            (np.abs(u) ** 2 * np.conj(u)) @ modes.T
-        )
-        grad_cols = np.stack(
-            [
-                np.concatenate([r_mass.real, r_mass.imag], axis=1),
-                np.concatenate([r_energy.real, r_energy.imag], axis=1),
-            ],
-            axis=-1,
-        )                                               # (B, 2N, 2)
-        c = np.einsum("bim,bik->bmk", grad_cols, grad_cols)
-        b = np.einsum("bim,bi->bm", grad_cols, f)
-        diag = np.einsum("bmm->bm", c)
-        scale = 1.0 / np.sqrt(np.maximum(diag, 1e-300))
-        c_scaled = c * scale[:, None, :] * scale[:, :, None]
-        lam = np.linalg.solve(c_scaled, (b * scale)[..., None])[..., 0] * scale
-        return f - np.einsum("bim,bm->bi", grad_cols, lam)
+        return rom_rhs(A, basis, quantities)
 
     schedule = StepSchedule(t_final=t_final, dt=dt)
     traj = integrate(rhs, a0_batch, schedule, stepper=step_rk4,
                      observe_every=snapshot_cadence)
-    stacked = np.stack(traj.states)                      # (T, B, 2N)
-    z_hist = stacked[..., :n_red] - 1j * stacked[..., n_red:]
-    fields = mean + z_hist @ modes                       # (T, B, n)
+    fields = basis.reconstruct_state(np.stack(traj.states))   # (T, B, n)
     series = [
         SnapshotSeries(traj.times, fields[:, b], length)
         for b in range(a0_batch.shape[0])

@@ -177,45 +177,6 @@ def _swe_single(config: RunConfig, seed: int) -> RunRecord:
     return record
 
 
-def _swe_batched_rhs(U, scheme, grid, swe_cfg, enforce_names, depth, diag):
-    """Ensemble variant of the constrained finite-volume derivative.
-
-    Applies the Lagrange correction member-wise with batched linear algebra;
-    assumes the enforced gradients stay non-degenerate (true for the random
-    oscillatory ensembles this serves).
-    """
-    flux = scheme.rhs(U, grid)
-    if not enforce_names:
-        return flux
-    n_runs = U.shape[0]
-    n = grid.n_cells
-    w = grid.widths
-    g = swe_cfg.gravity
-    eta = U[:, 0, :]
-    v = U[:, 1, :]
-    zeros = np.zeros((n_runs, n))
-    cols = []
-    if "total_elevation" in enforce_names:
-        cols.append(np.concatenate([np.broadcast_to(w, (n_runs, n)), zeros], axis=1))
-    if "total_velocity" in enforce_names:
-        cols.append(np.concatenate([zeros, np.broadcast_to(w, (n_runs, n))], axis=1))
-    if "total_energy" in enforce_names:
-        cols.append(
-            np.concatenate([w * (0.5 * v * v + g * eta), w * (eta + depth) * v], axis=1)
-        )
-    grad_cols = np.stack(cols, axis=-1)                      # (B, 2n, m)
-    flat = flux.reshape(n_runs, -1)
-    solved = grad_cols / diag[None, :, None]                 # M^{-1} G
-    c = np.einsum("bim,bik->bmk", grad_cols, solved)
-    b = np.einsum("bim,bi->bm", grad_cols, flat)
-    c_diag = np.einsum("bmm->bm", c)
-    scale = 1.0 / np.sqrt(np.maximum(c_diag, 1e-300))
-    c_scaled = c * scale[:, None, :] * scale[:, :, None]
-    lam = np.linalg.solve(c_scaled, (b * scale)[..., None])[..., 0] * scale
-    corrected = flat - np.einsum("bim,bm->bi", solved, lam)
-    return corrected.reshape(U.shape)
-
-
 def _swe_ensemble(config: RunConfig) -> RunRecord:
     swe_cfg, grid, scheme, quantities, enforced = _swe_setup(config)
     record = RunRecord(config=_echo(config), grid_x=grid.centers)
@@ -233,7 +194,7 @@ def _swe_ensemble(config: RunConfig) -> RunRecord:
 
     try:
         samples, drifts, n_steps = _swe_ensemble_batched(
-            config, np.stack(states), grid, scheme, swe_cfg, quantities, enforced
+            config, np.stack(states), grid, scheme, quantities, enforced
         )
         per_seed = dict(zip(good_seeds, zip(samples, drifts)))
     except RonsError:
@@ -242,7 +203,7 @@ def _swe_ensemble(config: RunConfig) -> RunRecord:
         for seed, U0 in zip(good_seeds, states):
             try:
                 s, d, n_steps = _swe_ensemble_batched(
-                    config, U0[None], grid, scheme, swe_cfg, quantities, enforced
+                    config, U0[None], grid, scheme, quantities, enforced
                 )
                 per_seed[seed] = (s[0], d[0])
             except RonsError as exc:
@@ -279,25 +240,19 @@ def _swe_ensemble(config: RunConfig) -> RunRecord:
     return record
 
 
-def _swe_ensemble_batched(config, batch, grid, scheme, swe_cfg, quantities, enforced):
+def _swe_ensemble_batched(config, batch, grid, scheme, quantities, enforced):
     """Advance a stacked ensemble, sampling max elevation in the window."""
-    enforce_names = tuple(q.name for q in enforced)
-    depth = swe_cfg.depth_at(grid.centers)
-    diag = np.tile(grid.widths, 2)
-
-    def rhs(U):
-        return _swe_batched_rhs(U, scheme, grid, swe_cfg, enforce_names, depth, diag)
-
-    w = grid.widths
-    g = swe_cfg.gravity
+    if enforced:
+        metric = fv.fv_metric(grid, 2)
+        rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, enforced, metric=metric)
+    else:
+        rhs = lambda U: scheme.rhs(U, grid)
+    energy = next(q for q in quantities if q.name == "total_energy")
 
     def sampler(t, U):
-        eta = U[..., 0, :]
-        v = U[..., 1, :]
-        energy = 0.5 * np.sum(w * ((eta + depth) * v * v + g * eta * eta), axis=-1)
         return {
-            "max_elevation": np.max(np.abs(eta), axis=-1),
-            "total_energy": energy,
+            "max_elevation": np.max(np.abs(U[..., 0, :]), axis=-1),
+            "total_energy": energy.value(U.reshape(U.shape[:-2] + (-1,))),
         }
 
     if config.dt is not None:

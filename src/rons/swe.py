@@ -227,6 +227,8 @@ def swe_quantities(grid: FvGrid, config: SweConfig) -> tuple[core.ConservedQuant
     The flat state is ``[eta_0..eta_{n-1}, v_0..v_{n-1}]``.  Energy is
     ``0.5 * sum_i dx [(eta_i + H_i) v_i^2 + g eta_i^2]`` with analytic
     gradient components ``dx (v^2 / 2 + g eta)`` and ``dx (eta + H) v``.
+    Values and gradients are batch-transparent over leading axes; the two
+    state integrals have constant ``(2n,)`` gradients.
     """
     n = grid.n_cells
     w = grid.widths
@@ -239,22 +241,22 @@ def swe_quantities(grid: FvGrid, config: SweConfig) -> tuple[core.ConservedQuant
     grad_vel.setflags(write=False)
 
     def energy_value(a):
-        eta, v = a[:n], a[n:]
-        return float(0.5 * np.dot(w, (eta + depth) * v * v + g * eta * eta))
+        eta, v = a[..., :n], a[..., n:]
+        return 0.5 * (((eta + depth) * v * v + g * eta * eta) @ w)
 
     def energy_gradient(a):
-        eta, v = a[:n], a[n:]
-        return np.concatenate([w * (0.5 * v * v + g * eta), w * (eta + depth) * v])
+        eta, v = a[..., :n], a[..., n:]
+        return np.concatenate([w * (0.5 * v * v + g * eta), w * (eta + depth) * v], axis=-1)
 
     return (
         core.ConservedQuantity(
             "total_elevation",
-            value=lambda a: float(np.dot(grad_elev, a)),
+            value=lambda a: a @ grad_elev,
             gradient=lambda a: grad_elev,
         ),
         core.ConservedQuantity(
             "total_velocity",
-            value=lambda a: float(np.dot(grad_vel, a)),
+            value=lambda a: a @ grad_vel,
             gradient=lambda a: grad_vel,
         ),
         core.ConservedQuantity("total_energy", energy_value, energy_gradient),

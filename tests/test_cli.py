@@ -51,6 +51,16 @@ class TestRunCommand:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_lagrange_solve_failure_exit_two(self, tmp_path, monkeypatch, capsys):
+        # a LinAlgError inside the constraint solve is a numerical failure
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        cfg = write_config(tmp_path, SWE_OK)
+        assert main(["run", cfg, "--output", str(tmp_path / "boom")]) == 2
+        assert "constraint equation solve failed" in capsys.readouterr().err
+
     def test_output_root_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RONS_OUTPUT_ROOT", str(tmp_path / "root"))
         cfg = write_config(tmp_path, SWE_OK + "[output]\ndirectory = sub\n")

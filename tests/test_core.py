@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rons import core
 from rons.errors import (
     ConstraintConditioningError,
     DimensionError,
     IllConditionedConstraintWarning,
+    RonsError,
     SingularMetricError,
     ValidationError,
 )
@@ -355,6 +359,134 @@ class TestGronsRhs:
             assert np.max(np.abs(z_dot - expected)) <= 1e-12 * max(
                 1.0, np.max(np.abs(expected))
             )
+
+
+def _correct(metric, velocity, gradients):
+    """Kernel output plus the IllConditionedConstraintWarnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = core.apply_invariant_correction(metric, velocity, gradients)
+    ill = [w for w in caught if issubclass(w.category, IllConditionedConstraintWarning)]
+    return out, len(ill)
+
+
+def _close(a, b, rtol=1e-12):
+    return np.linalg.norm(a - b) <= rtol * max(np.linalg.norm(b), 1e-300)
+
+
+class TestBatchedCorrection:
+    """One batch mixing a degenerate member (energy-like gradient below the
+    degeneracy tolerance), a member whose two gradients coincide, and
+    ordinary members."""
+
+    W, B = 12, 5
+
+    def _mixed_batch(self, rng):
+        metric = core.MetricTensor.from_diagonal(rng.uniform(0.5, 2.0, self.W))
+        constant = np.zeros(self.W)
+        constant[: self.W // 2] = 1.0
+        energy = rng.standard_normal((self.B, self.W))
+        energy[0] *= 1e-14   # below DEGENERACY_TOL, like lake-at-rest round-off
+        energy[1] = constant
+        velocity = rng.standard_normal((self.B, self.W))
+        return metric, velocity, [constant, energy]
+
+    def test_members_match_lone_runs(self, rng):
+        metric, velocity, (constant, energy) = self._mixed_batch(rng)
+        batched, n_warned = _correct(metric, velocity, [constant, energy])
+        assert batched.shape == velocity.shape
+        assert n_warned == 1
+        for i in range(self.B):
+            alone, alone_warned = _correct(metric, velocity[i], [constant, energy[i]])
+            assert _close(batched[i], alone)
+            assert alone_warned == (1 if i == 1 else 0)
+        # the degenerate member is corrected by the constant gradient alone
+        only_constant, _ = _correct(metric, velocity[0], [constant])
+        assert _close(batched[0], only_constant)
+        # the duplicated member went through least squares and is still tangent
+        scale = np.linalg.norm(constant) * np.linalg.norm(velocity[1])
+        assert abs(constant @ batched[1]) <= 1e-12 * scale
+
+    def test_no_active_member_returns_velocity_bitwise(self, rng):
+        metric = core.MetricTensor.from_diagonal(np.ones(self.W))
+        velocity = rng.standard_normal((self.B, self.W))
+        out = core.apply_invariant_correction(
+            metric, velocity, [np.zeros(self.W), np.zeros((self.B, self.W))]
+        )
+        assert out is velocity
+
+    def test_linalg_error_surfaces_as_rons_error(self, rng, monkeypatch):
+        metric, velocity, (constant, energy) = self._mixed_batch(rng)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(ConstraintConditioningError) as info:
+            core.apply_invariant_correction(metric, velocity[2:], [constant, energy[2:]])
+        assert isinstance(info.value, RonsError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+@st.composite
+def correction_cases(draw):
+    """Batches of up to 8 members, widths up to 40, up to 4 gradients, some
+    constant, some zero in some members, under a positive diagonal or a
+    dense SPD metric.  Widths of at least twice the gradient count keep the
+    random gradients well conditioned, which the tangency bound assumes."""
+    batch = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    w = draw(st.integers(2 * m, 40))
+    constant = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    zeroed = draw(st.sets(st.tuples(st.integers(0, batch - 1), st.integers(0, m - 1)),
+                          max_size=3))
+    dense = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dense:
+        metric = core.assemble_metric(random_spd(rng, w))
+    else:
+        metric = core.MetricTensor.from_diagonal(rng.uniform(0.1, 10.0, w))
+    gradients = []
+    for k in range(m):
+        if constant[k]:
+            gradients.append(rng.standard_normal(w))
+        else:
+            g = rng.standard_normal((batch, w))
+            for member, kk in zeroed:
+                if kk == k:
+                    g[member] = 0.0
+            gradients.append(g)
+    return metric, rng.standard_normal((batch, w)), gradients
+
+
+def _member(gradients, i):
+    return [g if g.ndim == 1 else g[i] for g in gradients]
+
+
+CASES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestCorrectionProperties:
+    @CASES
+    @given(correction_cases())
+    def test_tangent_to_every_active_invariant(self, case):
+        metric, velocity, gradients = case
+        out = core.apply_invariant_correction(metric, velocity, gradients)
+        for i in range(velocity.shape[0]):
+            scale = max(np.linalg.norm(out[i]), np.linalg.norm(velocity[i]))
+            for g in _member(gradients, i):
+                if np.linalg.norm(g) > core.DEGENERACY_TOL:
+                    bound = 1e-10 * np.linalg.norm(g) * scale
+                    assert abs(g @ out[i]) <= max(bound, 1e-300)
+
+    @CASES
+    @given(correction_cases())
+    def test_batch_equals_members(self, case):
+        metric, velocity, gradients = case
+        out = core.apply_invariant_correction(metric, velocity, gradients)
+        for i in range(velocity.shape[0]):
+            alone = core.apply_invariant_correction(metric, velocity[i], _member(gradients, i))
+            assert _close(out[i], alone)
 
 
 class TestDropDegenerate:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,70 @@ cadence = 0.5
             solo = np.array([np.max(np.abs(s[0])) for s in traj.states])
             batched_mean = seed_record["max_elevation_mean"]
             assert batched_mean == pytest.approx(np.mean(solo), rel=1e-11)
+
+
+REST_ENSEMBLE = """
+[run]
+model = swe
+scheme = fv-rons
+seeds = 0..1
+[space]
+cells = 64
+[time]
+horizon = 10.0
+cadence = 5.0
+[swe]
+ic = rest
+[sampling]
+window = 0, 10
+cadence = 1.0
+bins = 4
+"""
+
+
+class TestLakeAtRestEnsemble:
+    """Criterion 3 on the batched path: the energy gradient vanishes at rest
+    in every member, so it must be masked member by member."""
+
+    @pytest.fixture
+    def final_states(self, monkeypatch):
+        import rons.runner as runner_mod
+
+        states = []
+        original = runner_mod.integrate
+
+        def recording(rhs, y0, schedule, **kwargs):
+            keep = lambda t, U: states.append(np.array(U))
+            kwargs["observers"] = tuple(kwargs.get("observers", ())) + (keep,)
+            return original(rhs, y0, schedule, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "integrate", recording)
+        return states
+
+    @staticmethod
+    def _assert_at_rest(states):
+        final = states[-1]
+        assert final.shape == (2, 2, 64)
+        assert np.max(np.abs(final)) <= 1e-12
+
+    def test_run_experiment(self, tmp_path, final_states):
+        record = run_experiment(make_config(tmp_path, REST_ENSEMBLE))
+        assert record.failed_seeds == []
+        assert [r["seed"] for r in record.seed_records] == [0, 1]
+        assert all(r["max_elevation_mean"] <= 1e-12 for r in record.seed_records)
+        self._assert_at_rest(final_states)
+
+    def test_cli_ensemble(self, tmp_path, final_states):
+        from rons.cli import main
+
+        path = tmp_path / "rest.ini"
+        path.write_text(REST_ENSEMBLE)
+        out = tmp_path / "out"
+        assert main(["ensemble", str(path), "--output", str(out)]) == 0
+        assert not (out / "failed_seeds.json").exists()
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["n_seeds"] == 2 and metrics["n_failed"] == 0
+        self._assert_at_rest(final_states)
 
 
 class TestNlsRuns:
