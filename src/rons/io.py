@@ -197,7 +197,7 @@ def load_pod_basis(path) -> PodBasis:
     return PodBasis(
         mean=mean,
         modes=modes,
-        mode_derivatives=np.stack([spectral_derivative(m, length) for m in modes]),
+        mode_derivatives=spectral_derivative(modes, length),
         mean_derivative=spectral_derivative(mean, length),
         length=length,
         singular_values=np.asarray(sv),

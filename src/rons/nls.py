@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -90,11 +91,8 @@ class SpectralField:
         return np.fft.ifft(self.coefficients)
 
 
-def _dealiased_cubic(values: np.ndarray) -> np.ndarray:
-    """``|u|^2 u`` evaluated on a 3/2-padded grid, truncated back.
-
-    Works on the last axis, so batches of fields go through in one call.
-    """
+def _padded_values(values: np.ndarray) -> np.ndarray:
+    """Grid fields interpolated spectrally onto the 3/2-padded grid, last axis."""
     n = values.shape[-1]
     if n % 2:
         raise ValidationError("pseudo-spectral grids must have an even size")
@@ -104,7 +102,18 @@ def _dealiased_cubic(values: np.ndarray) -> np.ndarray:
     padded = np.zeros(values.shape[:-1] + (m,), dtype=complex)
     padded[..., : half + 1] = spec[..., : half + 1]
     padded[..., m - (n - half - 1):] = spec[..., half + 1:]
-    fine = np.fft.ifft(padded, axis=-1) * (m / n)
+    return np.fft.ifft(padded, axis=-1) * (m / n)
+
+
+def _dealiased_cubic(values: np.ndarray) -> np.ndarray:
+    """``|u|^2 u`` evaluated on a 3/2-padded grid, truncated back.
+
+    Works on the last axis, so batches of fields go through in one call.
+    """
+    n = values.shape[-1]
+    fine = _padded_values(values)
+    m = fine.shape[-1]
+    half = n // 2
     cubic = np.fft.fft(np.abs(fine) ** 2 * fine, axis=-1) * (n / m)
     out = np.empty(values.shape, dtype=complex)
     out[..., : half + 1] = cubic[..., : half + 1]
@@ -112,14 +121,18 @@ def _dealiased_cubic(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(out, axis=-1)
 
 
+def _derivative_multiplier(n: int, length: float) -> np.ndarray:
+    """Spectral first-derivative multiplier ``ik`` with the Nyquist mode zeroed."""
+    ik = 1j * wavenumbers(n, length)
+    if n % 2 == 0:
+        ik[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
+    return ik
+
+
 def _linear_multiplier(n: int, length: float) -> np.ndarray:
     """Spectral multiplier ``-ik/2 + ik^2/8`` with the Nyquist ``ik`` zeroed."""
     k = wavenumbers(n, length)
-    ik = 1j * k
-    if n % 2 == 0:
-        ik = ik.copy()
-        ik[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
-    return -0.5 * ik + 0.125j * k * k
+    return -0.5 * _derivative_multiplier(n, length) + 0.125j * k * k
 
 
 def _rhs_spectrum(spec: np.ndarray, length: float) -> np.ndarray:
@@ -152,25 +165,20 @@ def nls_rhs_values(values: np.ndarray, length: float) -> np.ndarray:
 
 
 def spectral_derivative(values: np.ndarray, length: float) -> np.ndarray:
-    """Exact spectral first derivative on the periodic grid."""
-    n = values.shape[0]
-    k = wavenumbers(n, length)
-    ik = 1j * k
-    if n % 2 == 0:
-        ik = ik.copy()
-        ik[n // 2] = 0.0
-    return np.fft.ifft(ik * np.fft.fft(values))
+    """Exact spectral first derivative on the periodic grid, last axis."""
+    n = values.shape[-1]
+    return np.fft.ifft(_derivative_multiplier(n, length) * np.fft.fft(values, axis=-1), axis=-1)
 
 
-def field_invariants(values: np.ndarray, length: float) -> tuple[float, float]:
-    """Discrete mass and energy of a grid field (rectangle rule)."""
+def field_invariants(values: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete mass and energy of grid fields (rectangle rule) along the
+    last axis; one value each per field of a ``(..., n)`` stack."""
     values = np.asarray(values, dtype=complex)
-    n = values.shape[0]
-    dx = length / n
+    dx = length / values.shape[-1]
     ux = spectral_derivative(values, length)
-    mass = dx * float(np.sum(np.abs(values) ** 2))
-    energy = dx * float(
-        np.sum(np.abs(ux) ** 2) / 8.0 - np.sum(np.abs(values) ** 4) / 4.0
+    mass = dx * np.sum(np.abs(values) ** 2, axis=-1)
+    energy = dx * (
+        np.sum(np.abs(ux) ** 2, axis=-1) / 8.0 - np.sum(np.abs(values) ** 4, axis=-1) / 4.0
     )
     return mass, energy
 
@@ -238,7 +246,7 @@ def dns_run(
     length = ic.length
 
     def rhs(spec):
-        return nls_rhs(SpectralField(spec, length)).coefficients
+        return _rhs_spectrum(spec, length)
 
     def invariant_observer(t, spec):
         mass, energy = field_invariants(np.fft.ifft(spec), length)
@@ -279,6 +287,44 @@ def relative_drift(series: np.ndarray, floor: float = 1e-300) -> float:
 # POD basis and reduced models
 
 
+def _real_form(matrix: np.ndarray) -> np.ndarray:
+    """The real matrix acting on stacked vectors as ``matrix`` acts on complex
+    row vectors: ``stack_amplitudes(z @ M) == stack_amplitudes(z) @ _real_form(M)``."""
+    return np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
+
+
+@dataclass(frozen=True)
+class CubicForm:
+    """An affine-plus-cubic map of stacked amplitudes, precomputed per basis.
+
+    ``a -> stack(c + z @ A + sum_x |u(x)|^2 u(x) psi(x))`` with the field
+    ``u = u_0 + sum_i z_i phi_i`` sampled on some grid and test functions
+    ``psi`` (one column per mode) on the same grid.  The arrays are stored in
+    stacked real form (:func:`_real_form`), so one evaluation is three small
+    real matrix products and elementwise work on the grid, with no FFT.
+    """
+
+    constant: np.ndarray      # (2 N,)
+    linear: np.ndarray        # (2 N, 2 N)
+    field_offset: np.ndarray  # (2 g,): stacked u_0
+    field: np.ndarray         # (2 N, 2 g): stacked phi_i
+    test: np.ndarray          # (2 g, 2 N)
+
+    @classmethod
+    def build(cls, constant, linear, fields, test) -> "CubicForm":
+        """From complex ``c`` (N,), ``A`` (N, N), ``[u_0; phi]`` (N + 1, g)
+        and ``psi`` (g, N)."""
+        return cls(stack_amplitudes(constant), _real_form(linear),
+                   stack_amplitudes(fields[0]), _real_form(fields[1:]), _real_form(test))
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        v = self.field_offset + a @ self.field
+        u = v.reshape(v.shape[:-1] + (2, -1))             # [Re u, -Im u]
+        square = u * u
+        cubic = u * (square[..., :1, :] + square[..., 1:, :])  # stacked |u|^2 u
+        return self.constant + a @ self.linear + cubic.reshape(v.shape) @ self.test
+
+
 @dataclass
 class PodBasis:
     """Mean plus orthonormal modes extracted from snapshots.
@@ -286,6 +332,8 @@ class PodBasis:
     ``modes`` has one mode per row, orthonormal under the discrete inner
     product ``<f, g> = dx * sum conj(f) g``.  Mode derivatives are
     precomputed spectrally so reduced-state energy gradients are exact.
+    The projector and the reduced operator are built on first use, so the
+    arrays of a basis must not be modified afterwards.
     """
 
     mean: np.ndarray
@@ -296,8 +344,10 @@ class PodBasis:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=complex)
-        self.modes = np.asarray(self.modes, dtype=complex)
+        # one memory layout whatever the source (an SVD, a file), so a
+        # reloaded basis gives bitwise-identical matrix products
+        for name in ("mean", "modes", "mode_derivatives", "mean_derivative"):
+            setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=complex))
         if self.modes.ndim != 2 or self.modes.shape[1] != self.mean.shape[0]:
             raise DimensionError("modes and mean must share the grid")
         gram = self.dx * (self.modes.conj() @ self.modes.T)
@@ -320,22 +370,50 @@ class PodBasis:
     def layout(self) -> core.ParameterLayout:
         return core.ParameterLayout.single_complex(self.n_modes)
 
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        return self.dx * self.modes.conj().T
+
+    @cached_property
+    def reduced_operator(self) -> CubicForm:
+        """The Galerkin projection of :func:`nls_rhs_values`, offline part.
+
+        Row 0 of the projected linear term is the mean's offset.  The cubic
+        term's test functions are ``-i/2 * dx * (n/m) * conj(fine modes)`` on
+        the ``m = 3n/2`` padded grid.  Every mode is band-limited to the
+        ``n``-point grid and the dealiased cubic is trilinear in
+        ``(u, conj u, u)``, so by Parseval this quadrature equals the
+        projection of the pseudo-spectral right-hand side exactly.
+        """
+        n = self.n_grid
+        fields = np.vstack([self.mean, self.modes])
+        fine = _padded_values(fields)
+        spec = _linear_multiplier(n, self.length) * np.fft.fft(fields, axis=-1)
+        linear = self.project(np.fft.ifft(spec, axis=-1))
+        test = (-0.5j * self.dx * n / fine.shape[-1]) * fine[1:].conj().T
+        return CubicForm.build(linear[0], linear[1:], fine, test)
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """Complex mode coefficients ``<phi_i, values>`` along the last axis
         (no mean handling)."""
         values = np.asarray(values, dtype=complex)
         if values.shape[-1] != self.n_grid:
             raise DimensionError("field lives on a different grid than the basis")
-        return self.dx * (values @ self.modes.conj().T)
+        return values @ self._projector
 
-    def amplitudes(self, a) -> np.ndarray:
-        """Complex amplitudes ``z = a_re - i a_im`` of stacked real states
-        ``(..., 2 N)``; the inverse of :func:`stack_amplitudes`."""
+    def state_values(self, a) -> np.ndarray:
+        """Values of stacked real states ``(..., 2 N)``, width-checked."""
         values = core.state_values(a)
         if values.shape[-1] != 2 * self.n_modes:
             raise DimensionError(
                 f"state has width {values.shape[-1]}, expected {2 * self.n_modes}"
             )
+        return values
+
+    def amplitudes(self, a) -> np.ndarray:
+        """Complex amplitudes ``z = a_re - i a_im`` of stacked real states
+        ``(..., 2 N)``; the inverse of :func:`stack_amplitudes`."""
+        values = self.state_values(a)
         return values[..., : self.n_modes] - 1j * values[..., self.n_modes :]
 
     def reconstruct(self, amplitudes: np.ndarray) -> np.ndarray:
@@ -380,11 +458,10 @@ def compute_pod(snapshots: np.ndarray, n_modes: int, length: float) -> PodBasis:
             f"requested {n_modes} modes but snapshots have numerical rank {rank}"
         )
     modes = (u[:, :n_modes] / np.sqrt(dx)).T
-    mode_dx = np.stack([spectral_derivative(m, length) for m in modes])
     return PodBasis(
         mean=mean,
         modes=modes,
-        mode_derivatives=mode_dx,
+        mode_derivatives=spectral_derivative(modes, length),
         mean_derivative=spectral_derivative(mean, length),
         length=length,
         singular_values=s.copy(),
@@ -417,21 +494,25 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
     ``conj(r_i) = <phi_i, w>``.  The mass variation ``w = 2 u`` and the
     kinetic part ``w = -u_xx / 4`` are affine in ``z``, so their projections
     are precomputed Gram matrices; only the quartic part ``w = -|u|^2 u``
-    needs the grid field.  Gradients are batch-transparent over leading axes.
+    needs the grid field, which a :class:`CubicForm` samples from the modes
+    without rebuilding them.  Gradients are batch-transparent over leading
+    axes.
     """
     dx = basis.dx
     mode_dx_h = basis.mode_derivatives.conj().T
-    mass_offset = basis.project(basis.mean)
-    mass_gram = basis.project(basis.modes)
+    mass_offset = stack_amplitudes(2.0 * basis.project(basis.mean))
+    mass_gram = _real_form(2.0 * basis.project(basis.modes))
     stiffness_offset = dx * (basis.mean_derivative @ mode_dx_h)
     stiffness = dx * (basis.mode_derivatives @ mode_dx_h)
+    energy_form = CubicForm.build(0.25 * stiffness_offset, 0.25 * stiffness,
+                                  np.vstack([basis.mean, basis.modes]), -basis._projector)
 
     def mass_value(a):
         u = basis.reconstruct_state(a)
         return dx * float(np.sum(np.abs(u) ** 2))
 
     def mass_gradient(a):
-        return stack_amplitudes(2.0 * (mass_offset + basis.amplitudes(a) @ mass_gram))
+        return mass_offset + basis.state_values(a) @ mass_gram
 
     def energy_value(a):
         z = basis.amplitudes(a)
@@ -440,10 +521,7 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
         return dx * float(np.sum(np.abs(ux) ** 2) / 8.0 - np.sum(np.abs(u) ** 4) / 4.0)
 
     def energy_gradient(a):
-        z = basis.amplitudes(a)
-        u = basis.reconstruct(z)
-        kinetic = 0.25 * (stiffness_offset + z @ stiffness)
-        return stack_amplitudes(kinetic - basis.project((u * u.conj()).real * u))
+        return energy_form(basis.state_values(a))
 
     return (
         core.ConservedQuantity("mass", mass_value, mass_gradient),
@@ -463,15 +541,16 @@ def rom_rhs(a, basis: PodBasis, quantities: Sequence[core.ConservedQuantity] = (
             degeneracy_tol: float = core.DEGENERACY_TOL) -> np.ndarray:
     """Reduced time derivative; constrained when quantities are given.
 
-    The plain-Galerkin path projects the pseudo-spectral right-hand side onto
-    the modes (identity metric, orthonormal modes).  With quantities the
-    Lagrange correction enforces their conservation exactly in continuous
-    time -- the invariant-constrained reduced model.  Batch-transparent:
-    ``a`` is ``(..., 2 N)`` and each member gets its own multipliers.
+    The plain-Galerkin path is the projection of the pseudo-spectral
+    right-hand side onto the modes (identity metric, orthonormal modes),
+    evaluated without any FFT by the basis's precomputed
+    :attr:`PodBasis.reduced_operator`.  With quantities the Lagrange
+    correction enforces their conservation exactly in continuous time -- the
+    invariant-constrained reduced model.  Batch-transparent: ``a`` is
+    ``(..., 2 N)`` and each member gets its own multipliers.
     """
-    values = core.state_values(a)
-    u = basis.reconstruct_state(values)
-    f = stack_amplitudes(basis.project(nls_rhs_values(u, basis.length)))
+    values = basis.state_values(a)
+    f = basis.reduced_operator(values)
     if not quantities:
         return f
     return core.apply_invariant_correction(
@@ -566,7 +645,7 @@ def dns_run_batch(
     series = [
         SnapshotSeries(traj.times, fields[:, b], length) for b in range(len(ics))
     ]
-    mass, energy = _batch_invariants(fields, length)
+    mass, energy = field_invariants(fields, length)
     diagnostics = {
         "mass": mass,
         "energy": energy,
@@ -576,23 +655,6 @@ def dns_run_batch(
         "n_steps": len(traj.dt_history),
     }
     return series, diagnostics
-
-
-def _batch_invariants(fields: np.ndarray, length: float):
-    """Mass/energy for a (..., n) stack of grid fields."""
-    n = fields.shape[-1]
-    dx = length / n
-    k = wavenumbers(n, length)
-    ik = 1j * k
-    if n % 2 == 0:
-        ik = ik.copy()
-        ik[n // 2] = 0.0
-    ux = np.fft.ifft(ik * np.fft.fft(fields, axis=-1), axis=-1)
-    mass = dx * np.sum(np.abs(fields) ** 2, axis=-1)
-    energy = dx * (
-        np.sum(np.abs(ux) ** 2, axis=-1) / 8.0 - np.sum(np.abs(fields) ** 4, axis=-1) / 4.0
-    )
-    return mass, energy
 
 
 def rom_run_batch(
@@ -625,7 +687,7 @@ def rom_run_batch(
         SnapshotSeries(traj.times, fields[:, b], length)
         for b in range(a0_batch.shape[0])
     ]
-    mass, energy = _batch_invariants(fields, length)
+    mass, energy = field_invariants(fields, length)
     diagnostics = {
         "mass": mass,
         "energy": energy,

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rons import core
+
+# Property tests replay the same generated cases on every run and have no
+# per-example deadline (a cold numpy call can exceed hypothesis's default).
+settings.register_profile("rons", max_examples=60, deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("rons")
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from rons import core
 from rons.errors import (
@@ -463,11 +463,7 @@ def _member(gradients, i):
     return [g if g.ndim == 1 else g[i] for g in gradients]
 
 
-CASES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
 class TestCorrectionProperties:
-    @CASES
     @given(correction_cases())
     def test_tangent_to_every_active_invariant(self, case):
         metric, velocity, gradients = case
@@ -479,7 +475,6 @@ class TestCorrectionProperties:
                     bound = 1e-10 * np.linalg.norm(g) * scale
                     assert abs(g @ out[i]) <= max(bound, 1e-300)
 
-    @CASES
     @given(correction_cases())
     def test_batch_equals_members(self, case):
         metric, velocity, gradients = case

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rons import core, nls
+from rons import core, io, nls
 from rons.errors import AlignmentError, RankError, ValidationError
 
 LENGTH = 16.0 * np.pi
@@ -27,6 +29,38 @@ def fourier_basis(n_modes, n=N_GRID, length=LENGTH):
         length=length,
         singular_values=np.ones(n_modes),
     )
+
+
+def pod_basis_with_mean(n_modes=6, n=N_GRID, seed=11):
+    """POD basis of noisy snapshots around a plane wave, so the mean is nonzero."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) * (LENGTH / n)
+    carrier = 0.3 * np.exp(2j * np.pi * 3 * x / LENGTH)
+    noise = rng.standard_normal((30, n)) + 1j * rng.standard_normal((30, n))
+    return nls.compute_pod(carrier + 0.1 * noise, n_modes, LENGTH)
+
+
+def pseudo_spectral_rom_rhs(a, basis):
+    """Oracle: the full dealiased right-hand side of the reconstructed field,
+    projected back onto the modes."""
+    u = basis.reconstruct_state(a)
+    return nls.stack_amplitudes(basis.project(nls.nls_rhs_values(u, basis.length)))
+
+
+def grid_gradients(a, basis):
+    """Oracle: mass and energy gradients from their first variations on the grid."""
+    u = basis.reconstruct_state(a)
+    ux = nls.spectral_derivative(u, basis.length)
+    dx = basis.dx
+    mass = 2.0 * dx * (u @ basis.modes.conj().T)
+    kinetic = 0.25 * dx * (ux @ basis.mode_derivatives.conj().T)
+    quartic = dx * ((np.abs(u) ** 2 * u) @ basis.modes.conj().T)
+    return [nls.stack_amplitudes(mass), nls.stack_amplitudes(kinetic - quartic)]
+
+
+def assert_relative_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 class TestSpectralField:
@@ -238,6 +272,93 @@ class TestRomRhs:
         scale = np.max(np.abs(dns_series.snapshots))
         diff = np.max(np.abs(rom_series.snapshots - dns_series.snapshots))
         assert diff <= 1e-8 * scale
+
+
+BASES = {
+    "pod-with-mean": pod_basis_with_mean,
+    "full-fourier": lambda: fourier_basis(N_GRID),
+}
+
+
+class TestReducedOperator:
+    """The precomputed reduced operator against its definition, the projection
+    of the pseudo-spectral right-hand side."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    @pytest.mark.parametrize("batch", [(), (1,), (20,)])
+    def test_matches_pseudo_spectral_projection(self, name, batch, rng):
+        basis = BASES[name]()
+        a = 0.4 * rng.standard_normal(batch + (2 * basis.n_modes,))
+        want = pseudo_spectral_rom_rhs(a, basis)
+        assert_relative_close(nls.rom_rhs(a, basis), want, 1e-12)
+        corrected = core.apply_invariant_correction(
+            core.MetricTensor.identity(want.shape[-1]), want, grid_gradients(a, basis)
+        )
+        got = nls.rom_rhs(a, basis, nls.rom_quantities(basis))
+        assert_relative_close(got, corrected, 1e-12)
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_gradients_match_grid_formula(self, name, rng):
+        basis = BASES[name]()
+        a = 0.4 * rng.standard_normal((5, 2 * basis.n_modes))
+        for q, want in zip(nls.rom_quantities(basis), grid_gradients(a, basis)):
+            assert_relative_close(q.gradient(a), want, 1e-12)
+
+    def test_online_evaluation_runs_no_fft(self, rng, monkeypatch):
+        basis = pod_basis_with_mean()
+        quantities = nls.rom_quantities(basis)
+        a = 0.4 * rng.standard_normal((3, 2 * basis.n_modes))
+        expected = nls.rom_rhs(a, basis, quantities)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("FFT called while evaluating the reduced model")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        monkeypatch.setattr(nls, "nls_rhs_values", forbidden)
+        assert np.array_equal(nls.rom_rhs(a, basis, quantities), expected)
+
+    @pytest.mark.parametrize("suffix", [".npz", ".json"])
+    def test_reloaded_basis_gives_identical_rhs(self, suffix, tmp_path, rng):
+        basis = pod_basis_with_mean()
+        path = tmp_path / f"basis{suffix}"
+        io.save_pod_basis(path, basis)
+        reloaded = io.load_pod_basis(path)
+        a = 0.4 * rng.standard_normal((4, 2 * basis.n_modes))
+        assert np.array_equal(nls.rom_rhs(a, basis), nls.rom_rhs(a, reloaded))
+        assert np.array_equal(
+            nls.rom_rhs(a, basis, nls.rom_quantities(basis)),
+            nls.rom_rhs(a, reloaded, nls.rom_quantities(reloaded)),
+        )
+
+    def test_odd_grid_rejected(self, rng):
+        n = N_GRID - 1
+        snaps = rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))
+        basis = nls.compute_pod(snaps, 3, LENGTH)
+        with pytest.raises(ValidationError):
+            nls.rom_rhs(np.zeros(6), basis)
+
+
+PROPERTY_BASIS = pod_basis_with_mean()
+_WIDTH = 2 * PROPERTY_BASIS.n_modes
+
+
+@st.composite
+def reduced_states(draw):
+    batch = draw(st.sampled_from([(), (1,), (3,), (8,)]))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 3.0]))
+    unit = hnp.arrays(float, batch + (_WIDTH,), elements=st.floats(-1.0, 1.0))
+    return scale * draw(unit)
+
+
+class TestReducedOperatorProperties:
+    @given(reduced_states())
+    def test_matches_pseudo_spectral_projection(self, a):
+        basis = PROPERTY_BASIS
+        want = pseudo_spectral_rom_rhs(a, basis)
+        assert_relative_close(nls.rom_rhs(a, basis), want, 1e-12)
+        for q, g in zip(nls.rom_quantities(basis), grid_gradients(a, basis)):
+            assert_relative_close(q.gradient(a), g, 1e-12)
 
 
 class TestBatchedEngines:
