@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -129,10 +129,16 @@ def _derivative_multiplier(n: int, length: float) -> np.ndarray:
     return ik
 
 
+@lru_cache(maxsize=8)
 def _linear_multiplier(n: int, length: float) -> np.ndarray:
-    """Spectral multiplier ``-ik/2 + ik^2/8`` with the Nyquist ``ik`` zeroed."""
+    """Spectral multiplier ``-ik/2 + ik^2/8`` with the Nyquist ``ik`` zeroed.
+
+    Built once per grid and shared, so the array is read-only.
+    """
     k = wavenumbers(n, length)
-    return -0.5 * _derivative_multiplier(n, length) + 0.125j * k * k
+    multiplier = -0.5 * _derivative_multiplier(n, length) + 0.125j * k * k
+    multiplier.setflags(write=False)
+    return multiplier
 
 
 def _rhs_spectrum(spec: np.ndarray, length: float) -> np.ndarray:

@@ -83,137 +83,170 @@ class SweConfig:
         return depth
 
 
-def swe_physical_flux(eta, v, depth, gravity):
-    """Flux pair ``((eta + H) v, v^2 / 2 + g eta)``."""
-    eta = np.asarray(eta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    total = eta + depth
-    if np.any(total <= 0):
-        raise DryStateError("total depth eta + H must be positive")
-    return total * v, 0.5 * v * v + gravity * eta
+def _require_wet(*totals: np.ndarray) -> None:
+    """Raise :class:`DryStateError` unless every total depth is positive.
 
-
-def swe_eigenvalues(eta, v, depth, gravity):
-    """Characteristic speeds ``v +- sqrt(g (eta + H))``; first >= second."""
-    eta = np.asarray(eta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    total = eta + depth
-    if np.any(total < 0):
+    A negative depth anywhere is reported before a zero one.  The minimum is
+    the fast test; ``np.any`` decides only when it is not positive (or NaN).
+    """
+    if all(t.min() > 0 for t in totals):
+        return
+    if any(np.any(t < 0) for t in totals):
         raise DryStateError("negative total depth")
-    c = np.sqrt(gravity * total)
-    return v + c, v - c
+    if any(np.any(t <= 0) for t in totals):
+        raise DryStateError("total depth eta + H must be positive")
 
 
-def swe_cfl_dt(U: np.ndarray, grid: FvGrid, config: SweConfig) -> float:
-    """Step size ``dx / (cfl_factor * max{max lam1, max(-lam2)})``.
+def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
+                        depth_if: np.ndarray) -> np.ndarray:
+    """Flux divergence of the stacked state; batch-transparent over leading axes.
 
-    Falls back to ``config.fallback_dt`` when all wave speeds vanish.
+    One pass over a copy of ``U`` padded with one periodic ghost cell per
+    side, so every neighbour is a slice.  Per cell, minmod slopes
+    ``minmod(theta backward, central, theta forward)`` give the interface
+    states ``U_i +- slope_i dx / 2``; per interface ``i+1/2`` (left state
+    from cell ``i``, right state from cell ``i+1``) the one-sided speeds
+    ``a+ = max(v + c, 0)``, ``a- = min(v - c, 0)`` over both sides, with
+    ``c = sqrt(g (eta + H))``, weight the central-upwind flux
+
+        H = (a+ F(U-) - a- F(U+)) / (a+ - a-) + (a+ a- / (a+ - a-)) (U+ - U-)
+
+    of the physical flux ``F = ((eta + H) v, v^2 / 2 + g eta)``; where the
+    spread ``a+ - a-`` is below 1e-14 the flux is the mean of the two sides.
+    Every temporary is allocated here and the result is a fresh array.
     """
-    depth = config.depth_at(grid.centers)
-    lam1, lam2 = swe_eigenvalues(U[0], U[1], depth, config.gravity)
-    speed = max(float(np.max(lam1)), float(np.max(-lam2)))
-    if speed < 1e-14:
-        return config.fallback_dt
-    return grid.dx / (config.cfl_factor * speed)
-
-
-def minmod_reconstruct(cellvals: np.ndarray, theta: float, dx: float) -> np.ndarray:
-    """Limited slopes for a linear in-cell reconstruction (periodic wrap).
-
-    ``minmod(theta backward, central, theta forward)`` per cell: the smallest
-    argument when all are positive, the largest when all are negative, zero
-    otherwise.  Interface values ``U_i +- slope_i dx / 2`` then never leave
-    the range of the three-cell stencil.
-    """
-    u = np.asarray(cellvals, dtype=float)
-    up = np.roll(u, -1, axis=-1)
-    um = np.roll(u, 1, axis=-1)
-    a = theta * (u - um) / dx
-    b = (up - um) / (2.0 * dx)
-    c = theta * (up - u) / dx
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    slopes = np.where(hi < 0, hi, 0.0)
-    return np.where(lo > 0, lo, slopes)
-
-
-def central_upwind_interface_flux(flux_left, flux_right, state_left, state_right,
-                                  a_plus, a_minus):
-    """Central-upwind numerical flux from one-sided wave speeds.
-
-    ``H = (a+ F(U-) - a- F(U+)) / (a+ - a-) + (a+ a- / (a+ - a-)) (U+ - U-)``
-    per component, degrading to the arithmetic mean of the two fluxes when
-    the speed spread vanishes.  Consistent: equal states give the exact flux.
-    """
-    spread = a_plus - a_minus
-    degenerate = spread < 1e-14
-    safe = np.where(degenerate, 1.0, spread)
-    upwind = (a_plus * flux_left - a_minus * flux_right) / safe
-    diffusion = (a_plus * a_minus / safe) * (state_right - state_left)
-    mean = 0.5 * (flux_left + flux_right)
-    return np.where(degenerate, mean, upwind + diffusion)
-
-
-def _central_upwind_rhs(
-    U: np.ndarray, grid: FvGrid, config: SweConfig, depth_if: np.ndarray | None = None
-) -> np.ndarray:
-    """Flux divergence of the stacked state; batch-transparent over leading axes."""
     U = np.asarray(U, dtype=float)
-    dx = grid.dx
+    n = U.shape[-1]
     g = config.gravity
-    if depth_if is None:
-        depth_if = config.depth_at(grid.centers + 0.5 * dx)
-    slopes = minmod_reconstruct(U, config.limiter_theta, dx)
 
-    # Interface i+1/2: left state from cell i, right state from cell i+1.
-    left = U + (0.5 * dx) * slopes
-    right = np.roll(U - (0.5 * dx) * slopes, -1, axis=-1)
+    padded = np.empty(U.shape[:-1] + (n + 2,))
+    padded[..., 1:-1] = U
+    padded[..., 0] = U[..., -1]
+    padded[..., -1] = U[..., 0]
+    u = padded[..., 1:-1]
 
-    lam1_l, lam2_l = swe_eigenvalues(left[..., 0, :], left[..., 1, :], depth_if, g)
-    lam1_r, lam2_r = swe_eigenvalues(right[..., 0, :], right[..., 1, :], depth_if, g)
-    a_plus = np.maximum(np.maximum(lam1_l, lam1_r), 0.0)
-    a_minus = np.minimum(np.minimum(lam2_l, lam2_r), 0.0)
+    # Limited slopes; one-sided differences theta (u_{j+1} - u_j) / dx for
+    # j = -1..n-1 serve as both the backward and the forward argument.
+    sided = np.subtract(padded[..., 1:], padded[..., :-1])
+    sided *= config.limiter_theta
+    sided /= dx
+    central = np.subtract(padded[..., 2:], padded[..., :-2])
+    central /= 2.0 * dx
+    lo = np.minimum(sided[..., :-1], central)
+    np.minimum(lo, sided[..., 1:], out=lo)
+    hi = np.maximum(sided[..., :-1], central, out=central)
+    np.maximum(hi, sided[..., 1:], out=hi)
+    # The slope is lo where lo > 0, hi where hi < 0 and +0.0 elsewhere (NaN
+    # included); lo > 0 implies hi > 0, so at most one term is nonzero.
+    # ``sided`` then holds the half-cell offsets ``slope dx / 2``, with cell
+    # 0's repeated after cell n-1.
+    offset = sided
+    slope = np.fmax(lo, 0.0, out=offset[..., :-1])
+    slope += np.fmin(hi, 0.0, out=hi)
+    slope += 0.0
+    slope *= 0.5 * dx
+    offset[..., -1] = offset[..., 0]
+    left = np.add(u, offset[..., :-1], out=lo)
+    right = np.subtract(padded[..., 2:], offset[..., 1:], out=hi)
 
-    flux_left = np.stack(
-        swe_physical_flux(left[..., 0, :], left[..., 1, :], depth_if, g), axis=-2
-    )
-    flux_right = np.stack(
-        swe_physical_flux(right[..., 0, :], right[..., 1, :], depth_if, g), axis=-2
-    )
-    interface = central_upwind_interface_flux(
-        flux_left, flux_right, left, right,
-        a_plus[..., None, :], a_minus[..., None, :],
-    )
-    return (np.roll(interface, 1, axis=-1) - interface) / dx
+    # Physical fluxes go where the offsets and the padded copy were.  The
+    # left flux keeps a leading ghost interface that later holds the last
+    # interface's flux for the divergence.
+    flux_lp = offset
+    flux_l = flux_lp[..., 1:]
+    flux_r = padded[..., 1:-1]
+    eta_l, v_l = left[..., 0, :], left[..., 1, :]
+    eta_r, v_r = right[..., 0, :], right[..., 1, :]
+    total_l = np.add(eta_l, depth_if)
+    total_r = np.add(eta_r, depth_if)
+    _require_wet(total_l, total_r)
+    work = np.empty_like(total_l)
+    for flux, total, eta, v in ((flux_l, total_l, eta_l, v_l),
+                                (flux_r, total_r, eta_r, v_r)):
+        np.multiply(total, v, out=flux[..., 0, :])
+        np.multiply(0.5, v, out=flux[..., 1, :])
+        flux[..., 1, :] *= v
+        np.multiply(g, eta, out=work)
+        flux[..., 1, :] += work
+        total *= g
+        np.sqrt(total, out=total)
+    c_l, c_r = total_l, total_r
+
+    a_plus = np.add(v_l, c_l)
+    np.add(v_r, c_r, out=work)
+    np.maximum(a_plus, work, out=a_plus)
+    np.maximum(a_plus, 0.0, out=a_plus)
+    a_minus = np.subtract(v_l, c_l, out=c_l)
+    np.subtract(v_r, c_r, out=c_r)
+    np.minimum(a_minus, c_r, out=a_minus)
+    np.minimum(a_minus, 0.0, out=a_minus)
+
+    spread = np.subtract(a_plus, a_minus, out=work)
+    degenerate = None if spread.min() >= 1e-14 else spread < 1e-14
+    if degenerate is not None:
+        np.copyto(spread, 1.0, where=degenerate)
+        mean = np.add(flux_l, flux_r)
+        mean *= 0.5
+    diffusion = np.multiply(a_plus, a_minus, out=c_r)
+    diffusion /= spread
+    flux_l *= a_plus[..., None, :]
+    flux_r *= a_minus[..., None, :]
+    flux_l -= flux_r
+    flux_l /= spread[..., None, :]
+    jump = np.subtract(right, left, out=right)
+    jump *= diffusion[..., None, :]
+    flux_l += jump
+    if degenerate is not None:
+        np.copyto(flux_l, mean, where=degenerate[..., None, :])
+
+    # The result is allocated last, above the temporaries freed on return,
+    # and is never a view of them: the steppers hold several at once.
+    flux_lp[..., 0] = flux_lp[..., -1]
+    out = np.subtract(flux_lp[..., :-1], flux_l)
+    out /= dx
+    return out
 
 
 def central_upwind_scheme(config: SweConfig) -> FluxScheme:
     """Bundle the semi-discretization with its CFL rule.
 
-    Undisturbed depths are cached per grid so repeated right-hand-side
-    evaluations skip topography lookups.
+    The cell width and the undisturbed depths of the last grid seen are kept
+    together with that grid (not its ``id()``, which a new grid may reuse),
+    so repeated evaluations on one grid skip topography lookups.
     """
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    cached: list = [None, None, None, None]
 
-    def depths(grid: FvGrid) -> tuple[np.ndarray, np.ndarray]:
-        key = id(grid)
-        if key not in cache:
-            cache[key] = (
+    def geometry(grid: FvGrid) -> tuple[float, np.ndarray, np.ndarray]:
+        """``dx``, depths at the cell centres and depths at the interfaces."""
+        if cached[0] is not grid:
+            dx = grid.dx
+            cached[:] = (
+                grid,
+                dx,
                 config.depth_at(grid.centers),
-                config.depth_at(grid.centers + 0.5 * grid.dx),
+                config.depth_at(grid.centers + 0.5 * dx),
             )
-        return cache[key]
+        return cached[1], cached[2], cached[3]
 
     def rhs(U, grid):
-        return _central_upwind_rhs(U, grid, config, depth_if=depths(grid)[1])
+        dx, _, depth_if = geometry(grid)
+        return _central_upwind_rhs(U, dx, config, depth_if)
 
     def cfl_dt(U, grid):
-        depth_c = depths(grid)[0]
-        lam1, lam2 = swe_eigenvalues(U[..., 0, :], U[..., 1, :], depth_c, config.gravity)
-        speed = max(float(np.max(lam1)), float(np.max(-lam2)))
-        if speed < 1e-14:
+        """``dx / (cfl_factor * max(|v| + sqrt(g (eta + H))))``, or
+        ``config.fallback_dt`` when every wave speed vanishes."""
+        U = np.asarray(U, dtype=float)
+        dx, depth, _ = geometry(grid)
+        speed = np.add(U[..., 0, :], depth)
+        if not speed.min() >= 0 and np.any(speed < 0):
+            raise DryStateError("negative total depth")
+        speed *= config.gravity
+        np.sqrt(speed, out=speed)
+        speed += np.abs(U[..., 1, :])
+        top = float(speed.max())
+        if top < 1e-14:
             return config.fallback_dt
-        return grid.dx / (config.cfl_factor * speed)
+        return dx / (config.cfl_factor * top)
 
     return FluxScheme(rhs=rhs, cfl_dt=cfl_dt)
 

@@ -82,6 +82,12 @@ class TestRhs:
         field = nls.SpectralField.from_values(np.zeros(N_GRID), LENGTH)
         assert not nls.nls_rhs(field).values().any()
 
+    def test_linear_multiplier_shared_and_read_only(self):
+        # built once per grid; callers must not be able to corrupt the copy
+        multiplier = nls._linear_multiplier(N_GRID, LENGTH)
+        assert nls._linear_multiplier(N_GRID, LENGTH) is multiplier
+        assert not multiplier.flags.writeable
+
     def test_plane_wave_exact_nonlinear_mode(self):
         # oracle: substituting A e^{ikx} into the PDE gives the multiplier
         # -ik/2 + i k^2 / 8 - i |A|^2 / 2

@@ -2,16 +2,19 @@
 keep those names alive and the traced outputs identical to untraced ones.
 
 The benchmark rebuilds each conserved quantity from its name, value and
-gradient only, so a correction that relied on anything else carried by a
-quantity would compute something different in traced passes.
+gradient only, and each flux scheme from its ``rhs`` and ``cfl_dt`` only, so
+a correction or a flux that relied on anything else carried by those objects
+would compute something different in traced passes.
 """
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from rons import fv, nls, swe
+from rons import fv, nls, runner, swe
+from rons.config import RunConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -55,3 +58,35 @@ def test_rewrapped_quantities_leave_outputs_bitwise_unchanged(rng):
     assert {"swe.grad", "nls.rom.grad", "core.apply_invariant_correction"} <= names
     for before, after in zip(untraced, traced):
         assert np.array_equal(before, after)
+
+
+def _swe_run_files(config, out_dir):
+    record = runner.run_experiment(config)
+    paths = runner.write_outputs(record, out_dir)
+    # telemetry.json holds wall times; every other file is deterministic
+    return {p.relative_to(out_dir): p.read_bytes() for p in paths
+            if p.name != "telemetry.json"}
+
+
+SINGLE = {"seed": 3, "cadence": 0.1, "snapshot_times": (0.3,)}
+ENSEMBLE = {"seeds": (0, 1, 2), "cadence": 0.3, "snapshot_times": (),
+            "sample_window": (0.15, 0.3), "sample_cadence": 0.1}
+
+
+@pytest.mark.parametrize("scheme", ["fv", "fv-rons"])
+@pytest.mark.parametrize("run", [SINGLE, ENSEMBLE], ids=["single", "ensemble"])
+def test_traced_swe_runs_write_identical_files(tmp_path, scheme, run):
+    enforce = ("total_elevation", "total_velocity", "total_energy")
+    config = RunConfig(
+        model="swe", scheme=scheme, swe_ic="random", cells=64, horizon=0.3,
+        stepper="ssprk3", enforce=enforce if scheme == "fv-rons" else (), **run,
+    ).validate()
+    untraced = _swe_run_files(config, tmp_path / "untraced")
+    tracer = Tracer()
+    with tracer.installed(layers.patches(tracer)):
+        traced = _swe_run_files(config, tmp_path / "traced")
+    names = {span[0] for span in tracer.spans}
+    assert {"swe.flux", "swe.cfl", "runner.run_experiment"} <= names
+    assert traced.keys() == untraced.keys() and traced
+    for name, data in untraced.items():
+        assert traced[name] == data, name

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rons import core, fv, swe
 from rons.errors import (
@@ -7,6 +8,102 @@ from rons.errors import (
     ResampledInitialConditionWarning,
     ValidationError,
 )
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the central-upwind scheme composed from its textbook
+# parts, one array pass each.  ``swe.central_upwind_scheme`` fuses these
+# passes and must agree with the composition bit for bit.
+
+
+def swe_physical_flux(eta, v, depth, gravity):
+    """Flux pair ``((eta + H) v, v^2 / 2 + g eta)``."""
+    eta = np.asarray(eta, dtype=float)
+    v = np.asarray(v, dtype=float)
+    total = eta + depth
+    if np.any(total <= 0):
+        raise DryStateError("total depth eta + H must be positive")
+    return total * v, 0.5 * v * v + gravity * eta
+
+
+def swe_eigenvalues(eta, v, depth, gravity):
+    """Characteristic speeds ``v +- sqrt(g (eta + H))``; first >= second."""
+    eta = np.asarray(eta, dtype=float)
+    v = np.asarray(v, dtype=float)
+    total = eta + depth
+    if np.any(total < 0):
+        raise DryStateError("negative total depth")
+    c = np.sqrt(gravity * total)
+    return v + c, v - c
+
+
+def minmod_reconstruct(cellvals, theta, dx):
+    """Limited slopes ``minmod(theta backward, central, theta forward)``
+    for a linear in-cell reconstruction (periodic wrap)."""
+    u = np.asarray(cellvals, dtype=float)
+    up = np.roll(u, -1, axis=-1)
+    um = np.roll(u, 1, axis=-1)
+    a = theta * (u - um) / dx
+    b = (up - um) / (2.0 * dx)
+    c = theta * (up - u) / dx
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    slopes = np.where(hi < 0, hi, 0.0)
+    return np.where(lo > 0, lo, slopes)
+
+
+def central_upwind_interface_flux(flux_left, flux_right, state_left, state_right,
+                                  a_plus, a_minus):
+    """``(a+ F(U-) - a- F(U+)) / (a+ - a-) + (a+ a- / (a+ - a-)) (U+ - U-)``,
+    the mean of the two fluxes where the speed spread vanishes."""
+    spread = a_plus - a_minus
+    degenerate = spread < 1e-14
+    safe = np.where(degenerate, 1.0, spread)
+    upwind = (a_plus * flux_left - a_minus * flux_right) / safe
+    diffusion = (a_plus * a_minus / safe) * (state_right - state_left)
+    mean = 0.5 * (flux_left + flux_right)
+    return np.where(degenerate, mean, upwind + diffusion)
+
+
+def reference_rhs(U, grid, config):
+    """Flux divergence of the stacked state, batch-transparent."""
+    U = np.asarray(U, dtype=float)
+    dx = grid.dx
+    g = config.gravity
+    depth_if = config.depth_at(grid.centers + 0.5 * dx)
+    slopes = minmod_reconstruct(U, config.limiter_theta, dx)
+    # Interface i+1/2: left state from cell i, right state from cell i+1.
+    left = U + (0.5 * dx) * slopes
+    right = np.roll(U - (0.5 * dx) * slopes, -1, axis=-1)
+    lam1_l, lam2_l = swe_eigenvalues(left[..., 0, :], left[..., 1, :], depth_if, g)
+    lam1_r, lam2_r = swe_eigenvalues(right[..., 0, :], right[..., 1, :], depth_if, g)
+    a_plus = np.maximum(np.maximum(lam1_l, lam1_r), 0.0)
+    a_minus = np.minimum(np.minimum(lam2_l, lam2_r), 0.0)
+    flux_left = np.stack(
+        swe_physical_flux(left[..., 0, :], left[..., 1, :], depth_if, g), axis=-2
+    )
+    flux_right = np.stack(
+        swe_physical_flux(right[..., 0, :], right[..., 1, :], depth_if, g), axis=-2
+    )
+    interface = central_upwind_interface_flux(
+        flux_left, flux_right, left, right,
+        a_plus[..., None, :], a_minus[..., None, :],
+    )
+    return (np.roll(interface, 1, axis=-1) - interface) / dx
+
+
+def reference_cfl_dt(U, grid, config):
+    """``dx / (cfl_factor * max{max lam1, max(-lam2)})``, or the fallback."""
+    depth = config.depth_at(grid.centers)
+    lam1, lam2 = swe_eigenvalues(U[..., 0, :], U[..., 1, :], depth, config.gravity)
+    speed = max(float(np.max(lam1)), float(np.max(-lam2)))
+    if speed < 1e-14:
+        return config.fallback_dt
+    return grid.dx / (config.cfl_factor * speed)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestConfig:
@@ -31,34 +128,34 @@ class TestConfig:
 
 class TestPhysicalFlux:
     def test_rest_state(self):
-        assert swe.swe_physical_flux(0.0, 0.0, 2.0, 532.4) == (0.0, 0.0)
+        assert swe_physical_flux(0.0, 0.0, 2.0, 532.4) == (0.0, 0.0)
 
     def test_direct_substitution(self):
-        f1, f2 = swe.swe_physical_flux(0.0, 1.0, 2.0, 532.4)
+        f1, f2 = swe_physical_flux(0.0, 1.0, 2.0, 532.4)
         assert f1 == pytest.approx(2.0)
         assert f2 == pytest.approx(0.5)
 
     def test_dry_state_rejected(self):
         with pytest.raises(DryStateError):
-            swe.swe_physical_flux(-3.0, 0.0, 2.0, 532.4)
+            swe_physical_flux(-3.0, 0.0, 2.0, 532.4)
 
 
 class TestEigenvalues:
     def test_rest_state_unit_speed(self):
         config = swe.SweConfig()
-        lam1, lam2 = swe.swe_eigenvalues(0.0, 0.0, config.mean_depth, config.gravity)
+        lam1, lam2 = swe_eigenvalues(0.0, 0.0, config.mean_depth, config.gravity)
         assert lam1 == pytest.approx(0.99995, abs=1e-4)
         assert lam2 == pytest.approx(-lam1)
 
     def test_degenerate_depth(self):
-        lam1, lam2 = swe.swe_eigenvalues(0.0, 0.5, 0.0, 532.4)
+        lam1, lam2 = swe_eigenvalues(0.0, 0.5, 0.0, 532.4)
         assert lam1 == lam2 == 0.5
 
     def test_ordering(self, rng):
         config = swe.SweConfig()
         eta = 1e-4 * rng.standard_normal(50)
         v = 1e-2 * rng.standard_normal(50)
-        lam1, lam2 = swe.swe_eigenvalues(eta, v, config.mean_depth, config.gravity)
+        lam1, lam2 = swe_eigenvalues(eta, v, config.mean_depth, config.gravity)
         assert np.all(lam1 >= lam2)
 
 
@@ -66,7 +163,7 @@ class TestCflStep:
     def test_rest_state_step(self):
         config = swe.SweConfig()
         grid = fv.build_grid(10.0, 1024)
-        dt = swe.swe_cfl_dt(swe.lake_at_rest_ic(grid), grid, config)
+        dt = swe.central_upwind_scheme(config).cfl_dt(swe.lake_at_rest_ic(grid), grid)
         # oracle: dx / (2 sqrt(g D)) with the derived constants
         expected = (10.0 / 1024) / (2.0 * np.sqrt(config.gravity * config.mean_depth))
         assert dt == pytest.approx(expected)
@@ -76,38 +173,46 @@ class TestCflStep:
         config = swe.SweConfig()
         grid = fv.build_grid(10.0, 64)
         U = swe.lake_at_rest_ic(grid)
-        dt0 = swe.swe_cfl_dt(U, grid, config)
+        dt0 = swe.central_upwind_scheme(config).cfl_dt(U, grid)
         # quadruple gravity doubles the characteristic speed
         config4 = swe.SweConfig(gravity=4.0 * config.gravity)
-        assert swe.swe_cfl_dt(U, grid, config4) == pytest.approx(dt0 / 2.0)
+        assert swe.central_upwind_scheme(config4).cfl_dt(U, grid) == pytest.approx(dt0 / 2.0)
 
     def test_zero_speed_fallback(self):
         config = swe.SweConfig(gravity=1.0, mean_depth=0.0, fallback_dt=0.125)
         grid = fv.build_grid(10.0, 64)
-        assert swe.swe_cfl_dt(np.zeros((2, 64)), grid, config) == 0.125
+        assert swe.central_upwind_scheme(config).cfl_dt(np.zeros((2, 64)), grid) == 0.125
+
+    def test_negative_depth_rejected(self):
+        config = swe.SweConfig()
+        grid = fv.build_grid(10.0, 64)
+        U = np.zeros((3, 2, 64))
+        U[1, 0, 7] = -2.0 * config.mean_depth
+        with pytest.raises(DryStateError, match="negative total depth"):
+            swe.central_upwind_scheme(config).cfl_dt(U, grid)
 
 
 class TestMinmod:
     def test_uniform_linear_data(self):
         dx = 0.1
         values = np.arange(8.0) * dx  # slope exactly 1 per unit x
-        slopes = swe.minmod_reconstruct(values, 1.2, dx)
+        slopes = minmod_reconstruct(values, 1.2, dx)
         # periodic wrap corrupts the two boundary cells only
         assert np.allclose(slopes[1:-1], 1.0)
 
     def test_extremum_gets_zero_slope(self):
         values = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        slopes = swe.minmod_reconstruct(values, 1.2, 0.1)
+        slopes = minmod_reconstruct(values, 1.2, 0.1)
         assert slopes[2] == 0.0
 
     def test_constant_data(self):
-        assert not swe.minmod_reconstruct(np.full(6, 2.5), 1.2, 0.1).any()
+        assert not minmod_reconstruct(np.full(6, 2.5), 1.2, 0.1).any()
 
     def test_interface_values_stay_in_stencil_range(self, rng):
         # TVD property of the limited reconstruction
         dx = 0.05
         values = rng.standard_normal(64)
-        slopes = swe.minmod_reconstruct(values, 1.2, dx)
+        slopes = minmod_reconstruct(values, 1.2, dx)
         left = values - 0.5 * dx * slopes
         right = values + 0.5 * dx * slopes
         lo = np.minimum(np.minimum(np.roll(values, 1), values), np.roll(values, -1))
@@ -122,22 +227,22 @@ class TestCentralUpwindFlux:
         eta = 1e-4 * rng.standard_normal(16)
         v = 1e-2 * rng.standard_normal(16)
         depth = np.full(16, config.mean_depth)
-        flux = np.stack(swe.swe_physical_flux(eta, v, depth, config.gravity))
-        lam1, lam2 = swe.swe_eigenvalues(eta, v, depth, config.gravity)
+        flux = np.stack(swe_physical_flux(eta, v, depth, config.gravity))
+        lam1, lam2 = swe_eigenvalues(eta, v, depth, config.gravity)
         a_plus = np.maximum(lam1, 0.0)
         a_minus = np.minimum(lam2, 0.0)
         state = np.stack([eta, v])
-        out = swe.central_upwind_interface_flux(flux, flux, state, state, a_plus, a_minus)
+        out = central_upwind_interface_flux(flux, flux, state, state, a_plus, a_minus)
         assert np.allclose(out, flux, atol=1e-18)
 
     def test_rest_interface_zero_flux(self):
         config = swe.SweConfig()
         zero = np.zeros(4)
         flux = np.stack(
-            swe.swe_physical_flux(zero, zero, config.mean_depth, config.gravity)
+            swe_physical_flux(zero, zero, config.mean_depth, config.gravity)
         )
-        lam1, lam2 = swe.swe_eigenvalues(zero, zero, config.mean_depth, config.gravity)
-        out = swe.central_upwind_interface_flux(
+        lam1, lam2 = swe_eigenvalues(zero, zero, config.mean_depth, config.gravity)
+        out = central_upwind_interface_flux(
             flux, flux, np.zeros((2, 4)), np.zeros((2, 4)),
             np.maximum(lam1, 0), np.minimum(lam2, 0),
         )
@@ -149,18 +254,137 @@ class TestCentralUpwindFlux:
         c = 2.0
         u_left = rng.standard_normal(8)
         u_right = rng.standard_normal(8)
-        out = swe.central_upwind_interface_flux(
+        out = central_upwind_interface_flux(
             c * u_left, c * u_right, u_left, u_right,
             np.full(8, c), np.zeros(8),
         )
         assert np.allclose(out, c * u_left)
 
     def test_degenerate_speeds_use_mean(self):
-        out = swe.central_upwind_interface_flux(
+        out = central_upwind_interface_flux(
             np.array([2.0]), np.array([4.0]), np.array([1.0]), np.array([5.0]),
             np.zeros(1), np.zeros(1),
         )
         assert out[0] == 3.0
+
+
+MEAN_DEPTH = swe.SweConfig().mean_depth
+
+
+def _bumpy(x):
+    return 0.3 * MEAN_DEPTH * np.sin(2.0 * np.pi * x / 5.0) ** 3
+
+
+@st.composite
+def flux_cases(draw):
+    """Random states on flat or bumpy bottoms: sub- and supercritical
+    velocities, flat stretches, and depths that sometimes run dry."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    n = draw(st.sampled_from([2, 3, 5, 16, 64, 257]))
+    bottom = draw(st.sampled_from([None, _bumpy]))
+    eta_scale = draw(st.sampled_from([0.0, 1e-8, 1e-5, 3e-4, 1.5e-3]))
+    v_scale = draw(st.sampled_from([0.0, 1e-3, 0.1, 2.0]))
+    flat = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = rng.standard_normal(batch + (2, n)) * np.array([[eta_scale], [v_scale]])
+    U[..., :flat] = 0.0
+    return U, fv.build_grid(10.0, n), swe.SweConfig(bottom=bottom)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DryStateError as err:
+        return str(err)
+
+
+class TestFusedKernel:
+    @given(flux_cases())
+    def test_matches_reference_bitwise(self, case):
+        # the CFL rule's one reduction max(|v| + c) must also equal the
+        # larger of max(v + c) and max(c - v) exactly
+        U, grid, config = case
+        scheme = swe.central_upwind_scheme(config)
+        got = _outcome(scheme.rhs, U, grid)
+        want = _outcome(reference_rhs, U, grid, config)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert_same_bits(got, want)
+        assert _outcome(scheme.cfl_dt, U, grid) == _outcome(reference_cfl_dt, U, grid, config)
+
+    @pytest.mark.parametrize("bottom", [None, _bumpy])
+    def test_lake_at_rest(self, bottom):
+        config = swe.SweConfig(bottom=bottom)
+        grid = fv.build_grid(10.0, 128)
+        U = np.zeros((4, 2, 128))
+        got = swe.central_upwind_scheme(config).rhs(U, grid)
+        assert_same_bits(got, reference_rhs(U, grid, config))
+        assert not got.any()
+
+    def test_degenerate_spread_uses_mean_flux(self, rng):
+        # c = sqrt(g (eta + H)) ~ 1e-15: every interface of the still stretch
+        # has a speed spread below 1e-14, the disturbed cells do not.
+        config = swe.SweConfig(gravity=1.0, mean_depth=1e-30)
+        grid = fv.build_grid(10.0, 32)
+        U = np.zeros((3, 2, 32))
+        U[:, 1] = 1e-16 * rng.standard_normal((3, 32))
+        U[1, 0, 5] = 1e-3
+        U[2, :, 20:24] = 1e-3
+        got = swe.central_upwind_scheme(config).rhs(U, grid)
+        assert_same_bits(got, reference_rhs(U, grid, config))
+        assert got[0, 1].any()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("excess, message", [
+        (1e-6, "negative total depth"),
+        (0.0, "total depth eta [+] H must be positive"),
+    ])
+    def test_dry_interface_side_rejected(self, side, excess, message):
+        # Alternating elevations make every cell an extremum (zero slope), so
+        # interface j sees cell j on its left and cell j+1 on its right.  The
+        # bottom rises to a thin film at that one interface only, and the
+        # low cell sits on the named side of it.
+        grid = fv.build_grid(10.0, 16)
+        j = 6 if side == "left" else 7
+        x_dry = (grid.centers + 0.5 * grid.dx)[j]
+        rise = MEAN_DEPTH - 1e-5
+        film = MEAN_DEPTH - rise  # the depth the scheme sees there, exactly
+        config = swe.SweConfig(bottom=lambda x: np.where(x == x_dry, rise, 0.0))
+        U = np.zeros((2, 2, 16))
+        U[1, 0] = np.where(np.arange(16) % 2, 1.0, -1.0) * (film + excess)
+        for rhs in (swe.central_upwind_scheme(config).rhs,
+                    lambda U, grid: reference_rhs(U, grid, config)):
+            with pytest.raises(DryStateError, match=message):
+                rhs(U, grid)
+
+    def test_results_do_not_alias(self, rng):
+        # the steppers hold several stage derivatives at once
+        config = swe.SweConfig()
+        grid = fv.build_grid(10.0, 64)
+        scheme = swe.central_upwind_scheme(config)
+        U1 = 1e-4 * rng.standard_normal((2, 64))
+        U2 = 1e-4 * rng.standard_normal((2, 64))
+        U1_before = U1.copy()
+        f1 = scheme.rhs(U1, grid)
+        f1_before = f1.copy()
+        f2 = scheme.rhs(U2, grid)
+        assert not np.shares_memory(f1, f2)
+        assert not np.shares_memory(f1, U1)
+        assert_same_bits(f1, f1_before)
+        assert_same_bits(U1, U1_before)
+        assert f1.flags.c_contiguous and f2.flags.c_contiguous
+
+    def test_reused_scheme_follows_each_new_grid(self, rng):
+        # Fresh grids may reuse a freed grid's id(); depths must follow the grid.
+        config = swe.SweConfig(bottom=_bumpy)
+        scheme = swe.central_upwind_scheme(config)
+        U = 1e-5 * rng.standard_normal((2, 64))
+        for length in (5.0, 5.001, 5.002, 5.003):
+            grid = fv.build_grid(length, 64)
+            assert_same_bits(scheme.rhs(U, grid), reference_rhs(U, grid, config))
+            assert scheme.cfl_dt(U, grid) == reference_cfl_dt(U, grid, config)
+            del grid
 
 
 class TestInvariants:
