@@ -15,6 +15,7 @@ entrywise; see ``tests/test_core.py`` for the verification.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -44,6 +45,7 @@ _GERSHGORIN_ROW_SUM = 2.0 * CONDITION_LIMIT / (1.0 + CONDITION_LIMIT)
 
 _SYMMETRY_RTOL = 1e-12
 _DIAGONAL_RTOL = 1e-14
+_IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +182,8 @@ class MetricTensor:
     """Gram matrix of the modes under the ambient inner product.
 
     ``kind`` is one of ``"dense"``, ``"diagonal"`` or ``"block"``.  The dense
-    kind caches its Cholesky factor on first use; the inverse is never formed.
+    kind caches its Cholesky factor on first use, the diagonal kind whether
+    every entry is positive; the inverse is never formed.
     """
 
     def __init__(self, kind, *, dense=None, diag=None, blocks=None, boundaries=None):
@@ -189,6 +192,7 @@ class MetricTensor:
         self._diag = diag
         self._blocks = blocks
         self._chol = None
+        self._singular = None
         if boundaries is None and blocks is not None:
             offs = [0]
             for b in blocks:
@@ -204,9 +208,11 @@ class MetricTensor:
 
     @classmethod
     def from_diagonal(cls, diag) -> "MetricTensor":
-        diag = np.asarray(diag, dtype=float)
+        # a private read-only copy, so the cached positivity check stays true
+        diag = np.array(diag, dtype=float)
         if diag.ndim != 1:
             raise DimensionError("diagonal metric needs a 1-d array")
+        diag.setflags(write=False)
         return cls("diagonal", diag=diag)
 
     # -- basic queries -------------------------------------------------------
@@ -253,7 +259,9 @@ class MetricTensor:
                 f"rhs has trailing dimension {rhs.shape[-1:]}, metric size {self.size}"
             )
         if self.kind == "diagonal":
-            if (self._diag <= 0).any():
+            if self._singular is None:
+                self._singular = bool((self._diag <= 0).any())
+            if self._singular:
                 raise SingularMetricError("diagonal metric has non-positive entries")
             return rhs / self._diag
         if self.kind == "dense":
@@ -441,10 +449,12 @@ def _is_active(gradients: np.ndarray, tol: float) -> np.ndarray:
 
 
 def drop_degenerate_constraints(gradients, tol: float) -> tuple[int, ...]:
-    """Indices of gradients with Euclidean norm above ``tol``, in order."""
-    return tuple(
-        i for i, g in enumerate(gradients) if _is_active(np.asarray(g, dtype=float), tol)
-    )
+    """Indices of gradients (rows of a stack) with Euclidean norm above
+    ``tol``, in order."""
+    if not len(gradients):
+        return ()
+    active = _is_active(np.asarray(gradients, dtype=float), tol).tolist()
+    return tuple(k for k, on in enumerate(active) if on)
 
 
 def _equilibrated(c: np.ndarray, b: np.ndarray):
@@ -462,6 +472,59 @@ def _condition_estimate(c_scaled: np.ndarray) -> np.ndarray:
     return np.where(positive, hi / np.where(positive, lo, 1.0), np.inf)
 
 
+def _solve_small(c: list, b: list) -> list | None:
+    """Multipliers of one ``m <= 3`` system in Python floats, or ``None``.
+
+    Pads ``C`` to 3 x 3 with identity rows and ``b`` with zeros, which leaves
+    the solution unchanged, then runs the numpy path's checks in straight-line
+    code -- Jacobi equilibration, the symmetry test and the Gershgorin
+    certificate -- and solves the unit-diagonal matrix by Cholesky.  Returns
+    ``None``, so the caller takes the numpy path, on a diagonal entry that
+    is not positive (NaN included), an asymmetric or uncertified matrix, or
+    a pivot that is not positive.
+    """
+    m = len(b)
+    pad = [0.0] * (3 - m)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+        [row + pad for row in c] + _IDENTITY_ROWS[m:]
+    )
+    if not (c00 > 0 and c11 > 0 and c22 > 0):
+        return None
+    s0, s1, s2 = 1.0 / math.sqrt(c00), 1.0 / math.sqrt(c11), 1.0 / math.sqrt(c22)
+    c00, c01, c02 = c00 * (s0 * s0), c01 * (s0 * s1), c02 * (s0 * s2)
+    c10, c11, c12 = c10 * (s1 * s0), c11 * (s1 * s1), c12 * (s1 * s2)
+    c20, c21, c22 = c20 * (s2 * s0), c21 * (s2 * s1), c22 * (s2 * s2)
+    if not (
+        abs(c01 - c10) <= _SYMMETRY_RTOL
+        and abs(c02 - c20) <= _SYMMETRY_RTOL
+        and abs(c12 - c21) <= _SYMMETRY_RTOL
+        and abs(c00) + abs(c01) + abs(c02) <= _GERSHGORIN_ROW_SUM
+        and abs(c10) + abs(c11) + abs(c12) <= _GERSHGORIN_ROW_SUM
+        and abs(c20) + abs(c21) + abs(c22) <= _GERSHGORIN_ROW_SUM
+        and c00 > 0  # the first Cholesky pivot
+    ):
+        return None
+    l00 = math.sqrt(c00)
+    l10, l20 = c10 / l00, c20 / l00
+    pivot = c11 - l10 * l10
+    if not pivot > 0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (c21 - l20 * l10) / l11
+    pivot = c22 - l20 * l20 - l21 * l21
+    if not pivot > 0:
+        return None
+    l22 = math.sqrt(pivot)
+    b0, b1, b2 = b + pad
+    y0 = b0 * s0 / l00
+    y1 = (b1 * s1 - l10 * y0) / l11
+    y2 = (b2 * s2 - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return [s0 * x0, s1 * x1, s2 * x2][:m]
+
+
 def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the constraint equations ``C lambda = b``, one per batch member.
 
@@ -475,12 +538,21 @@ def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     call, so run diagnostics can record it.  Everything else goes through
     one batched ``np.linalg.solve``.  A numpy ``LinAlgError`` surfaces as
     :class:`ConstraintConditioningError`.
+
+    An unbatched system with ``m <= 3`` is first offered to
+    :func:`_solve_small`, which solves it in Python floats when its diagonal
+    is positive and it passes the same checks; that skips some twenty numpy
+    calls.  Whatever the float path declines takes the numpy path above.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
     m = b.shape[-1]
     if c.shape != b.shape + (m,):
         raise DimensionError(f"constraint matrix shape {c.shape} does not match b {b.shape}")
+    if b.ndim == 1 and 0 < m <= 3:
+        lam = _solve_small(c.tolist(), b.tolist())
+        if lam is not None:
+            return np.array(lam)
     batch = b.shape[:-1]
     if m == 0:
         return np.zeros(b.shape)
@@ -520,20 +592,17 @@ def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (s * lam).reshape(batch + (m,))
 
 
-def _lagrange_system(metric: MetricTensor, velocity: np.ndarray, gradients):
-    """Stack the gradients and assemble ``C = G M^{-1} G^T`` and ``b = G v``.
+def _shared_block(metric: MetricTensor, gradients, tol: float):
+    """Stack gradients shared by the whole batch, each ``(w,)``, once.
 
-    ``velocity`` is ``(..., w)``; each gradient is ``(..., w)`` or a constant
-    ``(w,)`` and broadcasts against it.  Returns ``G`` and ``M^{-1} G`` as
-    ``(..., m, w)``, ``C`` as ``(..., m, m)`` and ``b`` as ``(..., m)``.
+    Drops the inactive ones and applies ``M^{-1}`` once.  Returns the kept
+    indices into ``gradients``, ``G_s`` and ``M^{-1} G_s``, both ``(m_s, w)``.
     """
-    g = np.empty(velocity.shape[:-1] + (len(gradients), velocity.shape[-1]))
-    for k, gradient in enumerate(gradients):
-        g[..., k, :] = gradient
-    solved = metric.solve(g)
-    c = solved @ g.swapaxes(-1, -2)
-    b = (g @ velocity[..., None])[..., 0]
-    return g, solved, c, b
+    g = np.array(gradients, dtype=float)
+    keep = drop_degenerate_constraints(g, tol)
+    if len(keep) < len(g):
+        g = g[list(keep)]
+    return keep, g, metric.solve(g)
 
 
 def evaluate_constraint_system(
@@ -542,29 +611,29 @@ def evaluate_constraint_system(
     """Assemble ``C`` and ``b`` for the active constraints at state ``a``.
 
     ``C[i, j] = <grad I_i, M^{-1} grad I_j>`` and ``b[i] = <grad I_i, M^{-1} f>``,
-    assembled exactly as :func:`apply_invariant_correction` does; the inverse
-    metric is never formed.  With ``check_conditioning`` the (equilibrated)
-    conditioning of ``C`` is verified and numerically dependent gradients
-    raise :class:`ConstraintConditioningError`; the time-stepping path has
-    no such check and relies on :func:`solve_lagrange`'s fallback.
+    assembled as :func:`apply_invariant_correction` assembles an unbatched
+    call; the inverse metric is never formed.  With ``check_conditioning``
+    the (equilibrated) conditioning of ``C`` is verified and numerically
+    dependent gradients raise :class:`ConstraintConditioningError`; the
+    time-stepping path has no such check and relies on
+    :func:`solve_lagrange`'s fallback.
     """
     if not system.constraints:
         return ConstraintSystem(np.zeros((0, 0)), np.zeros(0), ())
     a = state_values(a)
     velocity = system.metric.solve(np.asarray(system.rhs(a), dtype=float))
-    g, _, c, b = _lagrange_system(
-        system.metric, velocity, [q.gradient(a) for q in system.constraints]
+    active, g, solved = _shared_block(
+        system.metric, [q.gradient(a) for q in system.constraints], system.degeneracy_tol
     )
-    active = np.flatnonzero(_is_active(g, system.degeneracy_tol))
-    c, b = c[np.ix_(active, active)], b[active]
-    if check_conditioning and active.size:
+    c, b = solved @ g.T, g @ velocity
+    if check_conditioning and active:
         cond = float(_condition_estimate(_equilibrated(c, b)[0]))
         if not cond <= CONDITION_LIMIT:
             raise ConstraintConditioningError(
                 f"active constraint gradients are numerically dependent "
                 f"(condition estimate {cond:.3e})"
             )
-    return ConstraintSystem(c, b, tuple(int(i) for i in active))
+    return ConstraintSystem(c, b, active)
 
 
 def apply_invariant_correction(
@@ -583,20 +652,73 @@ def apply_invariant_correction(
     ``C = G M^{-1} G^T`` and ``b = G velocity``, member by member.  Gradients
     with norm at most ``tol`` are masked per member (multiplier zero); with
     no active gradient anywhere ``velocity`` comes back unchanged, bit for bit.
+
+    The ``(w,)`` gradients -- every gradient of an unbatched call -- are
+    shared by the batch: stacked once as ``G_s`` with no batch axis, they
+    come first in ``C``.  ``C_ss = (M^{-1} G_s) G_s^T`` is one small GEMM,
+    ``b_s`` and the cross block ``C_so`` are one GEMM each over the batch,
+    and the per-member block uses ``vecdot``.  The result is
+    ``velocity - lambda_o . M^{-1} G_o - lambda_s @ M^{-1} G_s``.
     """
     velocity = np.asarray(velocity, dtype=float)
     if len(gradients) == 0:
         return velocity
-    g, solved, c, b = _lagrange_system(metric, velocity, gradients)
-    active = _is_active(g, tol)
-    if not active.any():
+    shared, own = [], []
+    for g in gradients:
+        (shared if np.ndim(g) == 1 else own).append(g)
+    m_s = 0
+    if shared:
+        _, g_s, solved_s = _shared_block(metric, shared, tol)
+        m_s = len(g_s)
+    if not own:
+        if not m_s:
+            return velocity
+        c, b = solved_s @ g_s.T, velocity @ g_s.T
+        if b.ndim > 1:
+            c = np.broadcast_to(c, b.shape + (m_s,))
+        return velocity - solve_lagrange(c, b) @ solved_s
+
+    # per-member gradients stacked along axis -2: a view of a lone one
+    own = [np.asarray(g, dtype=float) for g in own]
+    if len(own) == 1 and own[0].shape == velocity.shape:
+        g_o = own[0][..., None, :]
+    else:
+        g_o = np.empty(velocity.shape[:-1] + (len(own), velocity.shape[-1]))
+        for k, g in enumerate(own):
+            g_o[..., k, :] = g
+    active = _is_active(g_o, tol)
+    n_active = np.count_nonzero(active)
+    if not m_s and not n_active:
         return velocity
-    if not active.all():
+    solved_o = metric.solve(g_o)
+    c = np.vecdot(solved_o[..., :, None, :], g_o[..., None, :, :])
+    b = np.vecdot(g_o, velocity[..., None, :])
+    if m_s:
+        c_oo, b_o = c, b
+        m = m_s + len(own)
+        c = np.empty(velocity.shape[:-1] + (m, m))
+        b = np.empty(velocity.shape[:-1] + (m,))
+        cross = (g_o.reshape(-1, g_o.shape[-1]) @ solved_s.T).reshape(g_o.shape[:-1] + (m_s,))
+        c[..., :m_s, :m_s] = solved_s @ g_s.T
+        c[..., m_s:, :m_s] = cross
+        c[..., :m_s, m_s:] = cross.swapaxes(-1, -2)
+        c[..., m_s:, m_s:] = c_oo
+        b[..., :m_s] = velocity @ g_s.T
+        b[..., m_s:] = b_o
+    if n_active < active.size:
         # zero rows and columns: solve_lagrange gives them multiplier zero
-        c = np.where(active[..., :, None] & active[..., None, :], c, 0.0)
-        b = np.where(active, b, 0.0)
+        keep = np.ones(b.shape, dtype=bool)
+        keep[..., m_s:] = active
+        c = np.where(keep[..., :, None] & keep[..., None, :], c, 0.0)
+        b = np.where(keep, b, 0.0)
     lam = solve_lagrange(c, b)
-    return velocity - (lam[..., None, :] @ solved)[..., 0, :]
+    solved_o *= lam[..., m_s:, None]
+    out = velocity - solved_o[..., 0, :]
+    for k in range(1, solved_o.shape[-2]):
+        out -= solved_o[..., k, :]
+    if m_s:
+        out -= lam[..., :m_s] @ solved_s
+    return out
 
 
 def grons_rhs(a, system: RonsSystem) -> np.ndarray:

@@ -399,6 +399,11 @@ class PodBasis:
         test = (-0.5j * self.dx * n / fine.shape[-1]) * fine[1:].conj().T
         return CubicForm.build(linear[0], linear[1:], fine, test)
 
+    @cached_property
+    def metric(self) -> core.MetricTensor:
+        """The identity metric of the stacked amplitudes (orthonormal modes)."""
+        return core.MetricTensor.identity(2 * self.n_modes)
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """Complex mode coefficients ``<phi_i, values>`` along the last axis
         (no mean handling)."""
@@ -560,7 +565,7 @@ def rom_rhs(a, basis: PodBasis, quantities: Sequence[core.ConservedQuantity] = (
     if not quantities:
         return f
     return core.apply_invariant_correction(
-        core.MetricTensor.identity(f.shape[-1]),
+        basis.metric,
         f,
         [q.gradient(values) for q in quantities],
         degeneracy_tol,

@@ -278,8 +278,20 @@ def swe_quantities(grid: FvGrid, config: SweConfig) -> tuple[core.ConservedQuant
         return 0.5 * (((eta + depth) * v * v + g * eta * eta) @ w)
 
     def energy_gradient(a):
+        # w * (0.5 * v * v + g * eta) and w * (eta + depth) * v, written into
+        # the two halves of one array in that arithmetic order
         eta, v = a[..., :n], a[..., n:]
-        return np.concatenate([w * (0.5 * v * v + g * eta), w * (eta + depth) * v], axis=-1)
+        out = np.empty(np.shape(a))
+        lo, hi = out[..., :n], out[..., n:]
+        np.multiply(g, eta, out=hi)
+        np.multiply(0.5, v, out=lo)
+        lo *= v
+        lo += hi
+        lo *= w
+        np.add(eta, depth, out=hi)
+        hi *= w
+        hi *= v
+        return out
 
     return (
         core.ConservedQuantity(

@@ -105,6 +105,22 @@ class TestAssembleMetric:
         with pytest.raises(SingularMetricError):
             m.solve(np.ones(2))
 
+    @pytest.mark.parametrize("entry", [0.0, -1.0])
+    def test_non_positive_diagonal_fails_at_every_solve(self, entry):
+        m = core.MetricTensor.from_diagonal([1.0, entry, 2.0])
+        for rhs in (np.ones(3), np.ones((4, 3))):
+            with pytest.raises(SingularMetricError):
+                m.solve(rhs)
+
+    def test_diagonal_metric_keeps_a_private_copy(self):
+        # the positivity check runs once, so the caller's array must not
+        # reach the metric
+        diag = np.ones(3)
+        m = core.MetricTensor.from_diagonal(diag)
+        m.solve(np.ones(3))
+        diag[1] = -1.0
+        assert np.array_equal(m.solve(np.ones(3)), np.ones(3))
+
 
 class TestBlockMetric:
     def test_two_scalar_blocks(self):
@@ -283,6 +299,106 @@ class TestSolveLagrange:
         assert np.allclose(lam, [1.0, 1.0])
 
 
+def _spy(monkeypatch, name):
+    """Count the calls to ``np.linalg.<name>``, passing them through."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestSmallSystemPath:
+    """An unbatched system with m <= 3 that passes the checks is solved in
+    Python floats; everything else defers to the batched numpy solve."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_certified_system_skips_numpy(self, rng, m, monkeypatch):
+        u = rng.uniform(-0.3, 0.3, (m, m))
+        c = np.eye(m) + (u + u.T) / 2   # scaled row sums below 2: certified
+        c = c * np.outer(10.0 ** np.arange(m), 10.0 ** np.arange(m))   # units differ
+        b = rng.standard_normal(m)
+        want = np.linalg.solve(c, b)
+        solve_calls = _spy(monkeypatch, "solve")
+        lam = core.solve_lagrange(c, b)
+        assert not solve_calls
+        assert lam.shape == (m,)
+        assert np.linalg.norm(lam - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_agrees_with_batched_path(self, rng):
+        for _ in range(50):
+            m = int(rng.integers(1, 4))
+            g = rng.standard_normal((m, 2 * m + 3))
+            c, b = g @ g.T, rng.standard_normal(m)
+            single = core.solve_lagrange(c, b)
+            batched = core.solve_lagrange(c[None], b[None])[0]
+            assert np.linalg.norm(single - batched) <= 1e-12 * np.linalg.norm(batched)
+
+    def test_asymmetric_raises_validation_error(self):
+        c = np.array([[1.0, 0.5], [0.4, 1.0]])
+        with pytest.raises(ValidationError):
+            core.solve_lagrange(c, np.ones(2))
+
+    def test_near_dependent_pair_warns_once_and_uses_lstsq(self, monkeypatch):
+        c = np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+        b = np.array([1.0, 1.0])
+        lstsq_calls = _spy(monkeypatch, "lstsq")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lam = core.solve_lagrange(c, b)
+        ill = [w for w in caught if issubclass(w.category, IllConditionedConstraintWarning)]
+        assert len(ill) == 1
+        assert len(lstsq_calls) == 1
+        assert np.allclose(c @ lam, b, rtol=0.0, atol=1e-12)
+
+    def test_zero_diagonal_row_gets_zero_multiplier(self):
+        c = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+        lam = core.solve_lagrange(c, np.array([1.0, 5.0, 2.0]))
+        assert lam.tolist() == [0.5, 0.0, 0.5]
+
+    def test_gershgorin_edge_defers_instead_of_raising(self, monkeypatch):
+        # row 0 sums to exactly 2 > 2L/(1+L), so no certificate, yet the
+        # eigenvalues 1, 1 +- 1/sqrt(2) are well apart: the numpy path takes
+        # a condition estimate and solves without a warning
+        c = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        eig_calls = _spy(monkeypatch, "eigvalsh")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = core.solve_lagrange(c, b)
+        assert len(eig_calls) == 1
+        assert np.allclose(c @ lam, b, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("c", [
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.inf, 1.0], [1.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]],
+        [[5e-324, 0.0], [0.0, 1.0]],
+        [[1e300, 1e300], [1e300, 1e300]],
+        [[1e-300, 0.0], [0.0, 1e300]],
+        [[-1.0, 0.0], [0.0, 1.0]],
+    ])
+    def test_awkward_entries_never_leak_raw_errors(self, c):
+        c = np.array(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                single = core.solve_lagrange(c, np.array([1.0, 2.0]))
+            except RonsError:
+                return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batched = core.solve_lagrange(c[None], np.array([[1.0, 2.0]]))[0]
+        finite = np.isfinite(batched)
+        assert np.array_equal(np.isfinite(single), finite)
+        assert np.allclose(single[finite], batched[finite], rtol=1e-12, atol=0.0)
+
+
 class TestGronsRhs:
     def test_circle_tangent(self):
         system = _unit_circle_system()
@@ -427,14 +543,78 @@ class TestBatchedCorrection:
         assert isinstance(info.value, RonsError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
+    def test_linalg_error_in_single_state_fallback_surfaces_as_rons_error(
+        self, rng, monkeypatch
+    ):
+        # member 1's gradients coincide: the float path declines and the
+        # numpy path's least squares is the solver that fails
+        metric, velocity, (constant, energy) = self._mixed_batch(rng)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "lstsq", singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedConstraintWarning)
+            with pytest.raises(ConstraintConditioningError) as info:
+                core.apply_invariant_correction(metric, velocity[1], [constant, energy[1]])
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_no_active_gradient_single_state_returns_velocity_bitwise(self, rng):
+        metric = core.MetricTensor.from_diagonal(np.ones(self.W))
+        velocity = rng.standard_normal(self.W)
+        out = core.apply_invariant_correction(
+            metric, velocity, [np.zeros(self.W), np.full(self.W, 1e-14)]
+        )
+        assert out is velocity
+
+
+def reference_correction(metric, velocity, gradients, tol=core.DEGENERACY_TOL):
+    """The oracle: the kernel as first written, one member at a time.
+
+    Every gradient is broadcast into one ``(..., m, w)`` stack and the metric
+    is solved on all of it; ``C = (M^-1 G) G^T`` and ``b = G v`` come from
+    batched matmuls.  Each member's active rows are Jacobi-equilibrated and
+    solved by ``np.linalg.solve``, or by minimum-norm least squares when the
+    eigenvalue condition estimate exceeds the limit.
+    """
+    velocity = np.asarray(velocity, dtype=float)
+    g = np.empty(velocity.shape[:-1] + (len(gradients), velocity.shape[-1]))
+    for k, gradient in enumerate(gradients):
+        g[..., k, :] = gradient
+    solved = metric.solve(g)
+    c = solved @ g.swapaxes(-1, -2)
+    b = (g @ velocity[..., None])[..., 0]
+    active = np.vecdot(g, g) > tol * tol
+    m = len(gradients)
+    lam = np.zeros(b.shape)
+    flat_lam = lam.reshape(-1, m)
+    for k, (ck, bk, ak) in enumerate(zip(c.reshape(-1, m, m), b.reshape(-1, m),
+                                          active.reshape(-1, m))):
+        idx = np.flatnonzero(ak)
+        if not idx.size:
+            continue
+        ck = ck[np.ix_(idx, idx)]
+        s = 1.0 / np.sqrt(np.diag(ck))
+        cs, bs = ck * np.outer(s, s), bk[idx] * s
+        eigs = np.linalg.eigvalsh(cs)
+        if eigs[0] > 0 and eigs[-1] / eigs[0] <= core.CONDITION_LIMIT:
+            flat_lam[k, idx] = s * np.linalg.solve(cs, bs)
+        else:
+            flat_lam[k, idx] = s * np.linalg.lstsq(cs, bs, rcond=None)[0]
+    return velocity - (lam[..., None, :] @ solved)[..., 0, :]
+
 
 @st.composite
 def correction_cases(draw):
-    """Batches of up to 8 members, widths up to 40, up to 4 gradients, some
-    constant, some zero in some members, under a positive diagonal or a
-    dense SPD metric.  Widths of at least twice the gradient count keep the
-    random gradients well conditioned, which the tangency bound assumes."""
-    batch = draw(st.integers(1, 8))
+    """Single states, or batches of up to 8 members; widths up to 40; one to
+    four gradients, each shared by the batch (``(w,)``) or per member, in
+    any order, some zero in some members; a positive diagonal or a dense
+    SPD metric.  A single state's gradients are all ``(w,)``.  Widths of at
+    least twice the gradient count keep the random gradients well
+    conditioned, which the tangency bound assumes."""
+    single = draw(st.booleans())
+    batch = 1 if single else draw(st.integers(1, 8))
     m = draw(st.integers(1, 4))
     w = draw(st.integers(2 * m, 40))
     constant = draw(st.lists(st.booleans(), min_size=m, max_size=m))
@@ -455,33 +635,53 @@ def correction_cases(draw):
             for member, kk in zeroed:
                 if kk == k:
                     g[member] = 0.0
-            gradients.append(g)
-    return metric, rng.standard_normal((batch, w)), gradients
+            gradients.append(g[0] if single else g)
+    velocity = rng.standard_normal((batch, w))
+    return metric, velocity[0] if single else velocity, gradients
 
 
-def _member(gradients, i):
-    return [g if g.ndim == 1 else g[i] for g in gradients]
+def _members(velocity, gradients, out):
+    """``(velocity, gradients, output)`` of each member; a single state is one."""
+    if velocity.ndim == 1:
+        yield velocity, gradients, out
+        return
+    for i in range(velocity.shape[0]):
+        yield velocity[i], [g if g.ndim == 1 else g[i] for g in gradients], out[i]
 
 
 class TestCorrectionProperties:
     @given(correction_cases())
+    def test_matches_reference(self, case):
+        metric, velocity, gradients = case
+        out = core.apply_invariant_correction(metric, velocity, gradients)
+        want = reference_correction(metric, velocity, gradients)
+        assert out.shape == velocity.shape
+        for (v, _, got), ref in zip(_members(velocity, gradients, out),
+                                    want.reshape(-1, velocity.shape[-1])):
+            # relative to the larger of the input and the output: when the
+            # correction cancels most of v, |output| alone is below the
+            # round-off of that subtraction
+            scale = max(np.linalg.norm(ref), np.linalg.norm(v))
+            assert np.linalg.norm(got - ref) <= 1e-12 * scale
+
+    @given(correction_cases())
     def test_tangent_to_every_active_invariant(self, case):
         metric, velocity, gradients = case
         out = core.apply_invariant_correction(metric, velocity, gradients)
-        for i in range(velocity.shape[0]):
-            scale = max(np.linalg.norm(out[i]), np.linalg.norm(velocity[i]))
-            for g in _member(gradients, i):
+        for v, member_gradients, got in _members(velocity, gradients, out):
+            scale = max(np.linalg.norm(got), np.linalg.norm(v))
+            for g in member_gradients:
                 if np.linalg.norm(g) > core.DEGENERACY_TOL:
                     bound = 1e-10 * np.linalg.norm(g) * scale
-                    assert abs(g @ out[i]) <= max(bound, 1e-300)
+                    assert abs(g @ got) <= max(bound, 1e-300)
 
     @given(correction_cases())
     def test_batch_equals_members(self, case):
         metric, velocity, gradients = case
         out = core.apply_invariant_correction(metric, velocity, gradients)
-        for i in range(velocity.shape[0]):
-            alone = core.apply_invariant_correction(metric, velocity[i], _member(gradients, i))
-            assert _close(out[i], alone)
+        for v, member_gradients, got in _members(velocity, gradients, out):
+            alone = core.apply_invariant_correction(metric, v, member_gradients)
+            assert _close(got, alone)
 
 
 class TestDropDegenerate:

@@ -266,6 +266,20 @@ class TestRomRhs:
                 bound = 1e-10 * np.linalg.norm(g) * max(np.linalg.norm(a_dot), 1.0)
                 assert abs(g @ a_dot) <= bound
 
+    @pytest.mark.parametrize("batch", [(), (4,)])
+    def test_metric_built_once_per_basis(self, rng, batch):
+        basis = pod_basis_with_mean()
+        quantities = nls.rom_quantities(basis)
+        assert basis.metric is basis.metric
+        assert np.array_equal(basis.metric.toarray(), np.eye(2 * basis.n_modes))
+        a = 0.4 * rng.standard_normal(batch + (2 * basis.n_modes,))
+        fresh = core.apply_invariant_correction(
+            core.MetricTensor.identity(2 * basis.n_modes),
+            basis.reduced_operator(a),
+            [q.gradient(a) for q in quantities],
+        )
+        assert np.array_equal(nls.rom_rhs(a, basis, quantities), fresh)
+
     def test_full_fourier_rank_reproduces_dns(self):
         # plain projection on the complete Fourier basis is the
         # pseudo-spectral method itself; short trajectories must agree

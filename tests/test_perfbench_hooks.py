@@ -60,6 +60,33 @@ def test_rewrapped_quantities_leave_outputs_bitwise_unchanged(rng):
         assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
+def test_each_constrained_evaluation_solves_once(rng, batched):
+    # the traced core.lagrange.* metrics count one solve per evaluation,
+    # whichever path (float or numpy) the solve takes inside
+    swe_cfg = swe.SweConfig()
+    grid = fv.build_grid(10.0, 64)
+    U = np.stack([swe.random_oscillatory_ic(s, grid, swe_cfg) for s in range(3)])
+    U[:, 1] = 0.3 * np.roll(U[:, 0], 5, axis=-1)
+    snaps = 0.1 * (rng.standard_normal((30, 64)) + 1j * rng.standard_normal((30, 64)))
+    basis = nls.compute_pod(snaps, 4, 16.0 * np.pi)
+    A = 0.4 * rng.standard_normal((3, 8))
+    if not batched:
+        U, A = U[0], A[0]
+    scheme = swe.central_upwind_scheme(swe_cfg)
+    swe_qs = swe.swe_quantities(grid, swe_cfg)
+    rom_qs = nls.rom_quantities(basis)
+    calls = [lambda: fv.fvrons_rhs(U, scheme, grid, swe_qs),
+             lambda: nls.rom_rhs(A, basis, rom_qs)]
+    for call in calls:
+        tracer = Tracer()
+        with tracer.installed(layers.patches(tracer)):
+            call()
+        names = [span[0] for span in tracer.spans]
+        assert names.count("core.solve_lagrange") == 1
+        assert names.count("core.apply_invariant_correction") == 1
+
+
 def _swe_run_files(config, out_dir):
     record = runner.run_experiment(config)
     paths = runner.write_outputs(record, out_dir)

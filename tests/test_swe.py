@@ -417,6 +417,22 @@ class TestInvariants:
                 g = q.gradient(a)
                 assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
 
+    @pytest.mark.parametrize("bottom", [None, _bumpy])
+    @pytest.mark.parametrize("batch", [(), (1,), (7,)])
+    def test_energy_gradient_matches_concatenated_formula(self, rng, bottom, batch):
+        # oracle: the two halves composed from temporaries and concatenated,
+        # in the arithmetic order the one-array gradient keeps
+        config = swe.SweConfig(bottom=bottom)
+        grid = fv.build_grid(10.0, 40)
+        n, w = grid.n_cells, grid.widths
+        depth, g = config.depth_at(grid.centers), config.gravity
+        a = rng.standard_normal(batch + (2 * n,)) * 1e-3
+        eta, v = a[..., :n], a[..., n:]
+        want = np.concatenate([w * (0.5 * v * v + g * eta), w * (eta + depth) * v], axis=-1)
+        got = swe.swe_quantities(grid, config)[2].gradient(a)
+        assert got.shape == a.shape
+        assert np.array_equal(got, want)
+
 
 class TestInitialConditions:
     def test_gaussian_peak_amplitude(self):
