@@ -91,34 +91,20 @@ class SpectralField:
         return np.fft.ifft(self.coefficients)
 
 
-def _padded_values(values: np.ndarray) -> np.ndarray:
-    """Grid fields interpolated spectrally onto the 3/2-padded grid, last axis."""
-    n = values.shape[-1]
+def _padded_spectrum(spec: np.ndarray) -> np.ndarray:
+    """Spectra zero-padded onto the 3/2 grid's spectrum, last axis.
+
+    The Nyquist coefficient stays in the positive half.  The inverse FFT of
+    the result, times ``3/2``, interpolates the field onto the padded grid.
+    """
+    n = spec.shape[-1]
     if n % 2:
         raise ValidationError("pseudo-spectral grids must have an even size")
-    m = 3 * n // 2
-    spec = np.fft.fft(values, axis=-1)
     half = n // 2
-    padded = np.zeros(values.shape[:-1] + (m,), dtype=complex)
+    padded = np.zeros(spec.shape[:-1] + (3 * half,), dtype=complex)
     padded[..., : half + 1] = spec[..., : half + 1]
-    padded[..., m - (n - half - 1):] = spec[..., half + 1:]
-    return np.fft.ifft(padded, axis=-1) * (m / n)
-
-
-def _dealiased_cubic(values: np.ndarray) -> np.ndarray:
-    """``|u|^2 u`` evaluated on a 3/2-padded grid, truncated back.
-
-    Works on the last axis, so batches of fields go through in one call.
-    """
-    n = values.shape[-1]
-    fine = _padded_values(values)
-    m = fine.shape[-1]
-    half = n // 2
-    cubic = np.fft.fft(np.abs(fine) ** 2 * fine, axis=-1) * (n / m)
-    out = np.empty(values.shape, dtype=complex)
-    out[..., : half + 1] = cubic[..., : half + 1]
-    out[..., half + 1:] = cubic[..., m - (n - half - 1):]
-    return np.fft.ifft(out, axis=-1)
+    padded[..., 2 * half + 1:] = spec[..., half + 1:]
+    return padded
 
 
 def _derivative_multiplier(n: int, length: float) -> np.ndarray:
@@ -142,18 +128,31 @@ def _linear_multiplier(n: int, length: float) -> np.ndarray:
 
 
 def _rhs_spectrum(spec: np.ndarray, length: float) -> np.ndarray:
-    """Spectral-space envelope derivative; batch-transparent over leading axes."""
+    """Spectral-space envelope derivative; batch-transparent over leading axes.
+
+    Two FFTs: the spectrum is padded onto the 3/2 grid, ``|u|^2 u`` is formed
+    there from one inverse FFT, and one forward FFT brings it back to be
+    truncated to the ``n`` retained modes.  The interpolation factor ``3/2``
+    enters the cubic three times and the truncation ``2/3`` once, so they
+    fold with ``-i/2`` into the one scalar ``-i/2 (3/2)^2``.
+    """
     n = spec.shape[-1]
-    linear = _linear_multiplier(n, length) * spec
-    cubic = -0.5j * _dealiased_cubic(np.fft.ifft(spec, axis=-1))
-    return linear + np.fft.fft(cubic, axis=-1)
+    fine = np.fft.ifft(_padded_spectrum(spec), axis=-1)
+    fine *= fine.real * fine.real + fine.imag * fine.imag
+    cubic = np.fft.fft(fine, axis=-1)
+    half = n // 2
+    rhs = _linear_multiplier(n, length) * spec
+    rhs[..., : half + 1] -= 1.125j * cubic[..., : half + 1]
+    rhs[..., half + 1:] -= 1.125j * cubic[..., 2 * half + 1:]
+    return rhs
 
 
 def nls_rhs(field: SpectralField) -> SpectralField:
     """Time derivative of the envelope, as a spectral field.
 
     Linear terms act in spectral space with multiplier ``-ik/2 + ik^2/8``;
-    the cubic term is evaluated pseudo-spectrally with 3/2-rule padding.
+    the cubic term is evaluated pseudo-spectrally with 3/2-rule padding,
+    one inverse and one forward FFT per evaluation (see :func:`_rhs_spectrum`).
     """
     spec = field.coefficients
     if not np.all(np.isfinite(spec)):
@@ -162,12 +161,13 @@ def nls_rhs(field: SpectralField) -> SpectralField:
 
 
 def nls_rhs_values(values: np.ndarray, length: float) -> np.ndarray:
-    """Grid-space envelope derivative; batch-transparent over leading axes."""
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[-1]
-    spec = np.fft.fft(values, axis=-1)
-    linear = np.fft.ifft(_linear_multiplier(n, length) * spec, axis=-1)
-    return linear - 0.5j * _dealiased_cubic(values)
+    """Grid-space envelope derivative; batch-transparent over leading axes.
+
+    The spectral evaluation of :func:`_rhs_spectrum` between one forward and
+    one inverse FFT.
+    """
+    spec = np.fft.fft(np.asarray(values, dtype=complex), axis=-1)
+    return np.fft.ifft(_rhs_spectrum(spec, length), axis=-1)
 
 
 def spectral_derivative(values: np.ndarray, length: float) -> np.ndarray:
@@ -244,42 +244,18 @@ def dns_run(
 ) -> tuple[SnapshotSeries, dict]:
     """Integrate the envelope with fixed-step RK4, sampling snapshots.
 
-    Returns the snapshot series and a diagnostics dict with the mass/energy
-    histories and their relative drifts.
+    A batch of one (:func:`dns_run_batch`).  Returns the snapshot series and
+    a diagnostics dict with the mass/energy histories and their relative
+    drifts.
     """
-    if dt is None:
-        dt = stable_dt(ic.n_modes, ic.length)
-    length = ic.length
-
-    def rhs(spec):
-        return _rhs_spectrum(spec, length)
-
-    def invariant_observer(t, spec):
-        mass, energy = field_invariants(np.fft.ifft(spec), length)
-        return {"mass": mass, "energy": energy}
-
-    schedule = StepSchedule(t_final=t_final, dt=dt)
-    traj = integrate(
-        rhs,
-        ic.coefficients,
-        schedule,
-        stepper=step_rk4,
-        observers=(invariant_observer,),
-        observe_every=snapshot_cadence,
-    )
-    snapshots = np.stack([np.fft.ifft(s) for s in traj.states])
-    series = SnapshotSeries(traj.times, snapshots, length)
-    mass = np.array([d["mass"] for d in traj.diagnostics])
-    energy = np.array([d["energy"] for d in traj.diagnostics])
-    diagnostics = {
-        "mass": mass,
-        "energy": energy,
-        "mass_drift": relative_drift(mass),
-        "energy_drift": relative_drift(energy),
-        "dt": dt,
-        "n_steps": len(traj.dt_history),
+    (series,), diag = dns_run_batch([ic], t_final, snapshot_cadence, dt)
+    return series, {
+        **diag,
+        "mass": diag["mass"][:, 0],
+        "energy": diag["energy"][:, 0],
+        "mass_drift": float(diag["mass_drift"][0]),
+        "energy_drift": float(diag["energy_drift"][0]),
     }
-    return series, diagnostics
 
 
 def relative_drift(series: np.ndarray, floor: float = 1e-300) -> float:
@@ -384,18 +360,19 @@ class PodBasis:
     def reduced_operator(self) -> CubicForm:
         """The Galerkin projection of :func:`nls_rhs_values`, offline part.
 
-        Row 0 of the projected linear term is the mean's offset.  The cubic
-        term's test functions are ``-i/2 * dx * (n/m) * conj(fine modes)`` on
-        the ``m = 3n/2`` padded grid.  Every mode is band-limited to the
-        ``n``-point grid and the dealiased cubic is trilinear in
-        ``(u, conj u, u)``, so by Parseval this quadrature equals the
-        projection of the pseudo-spectral right-hand side exactly.
+        Row 0 of the projected linear term is the mean's offset.  The mean
+        and the modes are interpolated onto the ``m = 3n/2`` padded grid by
+        the same spectrum padding as the DNS (:func:`_padded_spectrum`), and
+        the cubic term's test functions are ``-i/2 * dx * (n/m) * conj(fine
+        modes)`` there.  Every mode is band-limited to the ``n``-point grid
+        and the dealiased cubic is trilinear in ``(u, conj u, u)``, so by
+        Parseval this quadrature equals the projection of the pseudo-spectral
+        right-hand side exactly.
         """
         n = self.n_grid
-        fields = np.vstack([self.mean, self.modes])
-        fine = _padded_values(fields)
-        spec = _linear_multiplier(n, self.length) * np.fft.fft(fields, axis=-1)
-        linear = self.project(np.fft.ifft(spec, axis=-1))
+        spec = np.fft.fft(np.vstack([self.mean, self.modes]), axis=-1)
+        fine = np.fft.ifft(_padded_spectrum(spec), axis=-1) * 1.5
+        linear = self.project(np.fft.ifft(_linear_multiplier(n, self.length) * spec, axis=-1))
         test = (-0.5j * self.dx * n / fine.shape[-1]) * fine[1:].conj().T
         return CubicForm.build(linear[0], linear[1:], fine, test)
 
@@ -619,10 +596,11 @@ def rom_run(
 # ---------------------------------------------------------------------------
 # Batched engines: many seeds advanced as one stacked state.
 #
-# On a single core these replace process fan-out for ensembles; they evaluate
-# the same batch-transparent operators as the per-run functions (last-axis
-# layout, the same constraint kernel with member-wise degeneracy masking and
-# least-squares fallback), so results match those functions to round-off.
+# On a single core these replace process fan-out for ensembles.  A single DNS
+# run is a batch of one; the reduced models evaluate the same batch-transparent
+# operators as :func:`rom_run` (last-axis layout, the same constraint kernel
+# with member-wise degeneracy masking and least-squares fallback), so results
+# match it to round-off.
 
 
 def dns_run_batch(

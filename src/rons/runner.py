@@ -298,12 +298,10 @@ def _nls_dns_single(config: RunConfig, seed: int) -> RunRecord:
 def _rom_basis(config: RunConfig) -> nls.PodBasis:
     if config.basis_path:
         return io.load_pod_basis(config.basis_path)
-    snapshots = []
-    for seed in config.training_seeds:
-        ic = nls.nls_random_ic(seed, config.length, config.modes)
-        series, _ = nls.dns_run(ic, config.training_horizon, config.snapshot_cadence)
-        snapshots.append(series.snapshots)
-    return nls.compute_pod(np.vstack(snapshots), config.rom_modes, config.length)
+    ics = [nls.nls_random_ic(s, config.length, config.modes) for s in config.training_seeds]
+    series, _ = nls.dns_run_batch(ics, config.training_horizon, config.snapshot_cadence)
+    snapshots = np.vstack([s.snapshots for s in series])
+    return nls.compute_pod(snapshots, config.rom_modes, config.length)
 
 
 def _rom_initial_state(config: RunConfig, seed: int, basis) -> np.ndarray:

@@ -40,6 +40,33 @@ def pod_basis_with_mean(n_modes=6, n=N_GRID, seed=11):
     return nls.compute_pod(carrier + 0.1 * noise, n_modes, LENGTH)
 
 
+def reference_rhs_spectrum(spec, length):
+    """Oracle: the right-hand side composed the long way, six FFTs.
+
+    Back to grid values; interpolate them onto the 3/2 grid through their
+    own spectrum (Nyquist coefficient in the positive half); cube there;
+    truncate the cube's spectrum; back to grid values, times ``-i/2``; and
+    forward again beside the linear term ``(-ik/2 + ik^2/8) u_k`` with the
+    Nyquist ``ik`` zeroed.
+    """
+    n = spec.shape[-1]
+    m, half = 3 * n // 2, n // 2
+    values_spec = np.fft.fft(np.fft.ifft(spec, axis=-1), axis=-1)
+    padded = np.zeros(spec.shape[:-1] + (m,), dtype=complex)
+    padded[..., : half + 1] = values_spec[..., : half + 1]
+    padded[..., m - (n - half - 1):] = values_spec[..., half + 1:]
+    fine = np.fft.ifft(padded, axis=-1) * (m / n)
+    fine_cubic = np.fft.fft(np.abs(fine) ** 2 * fine, axis=-1) * (n / m)
+    truncated = np.empty(spec.shape, dtype=complex)
+    truncated[..., : half + 1] = fine_cubic[..., : half + 1]
+    truncated[..., half + 1:] = fine_cubic[..., m - (n - half - 1):]
+    cubic = -0.5j * np.fft.ifft(truncated, axis=-1)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
+    ik = 1j * k
+    ik[half] = 0.0
+    return (-0.5 * ik + 0.125j * k * k) * spec + np.fft.fft(cubic, axis=-1)
+
+
 def pseudo_spectral_rom_rhs(a, basis):
     """Oracle: the full dealiased right-hand side of the reconstructed field,
     projected back onto the modes."""
@@ -109,6 +136,54 @@ class TestRhs:
         via_values = nls.nls_rhs_values(u, LENGTH)
         via_spectrum = nls.nls_rhs(nls.SpectralField.from_values(u, LENGTH)).values()
         assert np.max(np.abs(via_values - via_spectrum)) < 1e-13
+
+
+@st.composite
+def spectra(draw):
+    """Spectra of random fields: batch shape, even grid size, amplitude."""
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    n = 2 * draw(st.integers(2, 64))
+    amplitude = draw(st.floats(1e-3, 1.0))
+    parts = hnp.arrays(float, (2,) + batch + (n,), elements=st.floats(-1.0, 1.0))
+    re, im = draw(parts)
+    return np.fft.fft(amplitude * (re + 1j * im), axis=-1)
+
+
+class TestTwoFftRhs:
+    """The two-FFT spectral evaluation against the six-FFT composition."""
+
+    @given(spectra(), st.sampled_from([2.0 * np.pi, LENGTH]))
+    def test_matches_six_fft_composition(self, spec, length):
+        assert_relative_close(
+            nls._rhs_spectrum(spec, length), reference_rhs_spectrum(spec, length), 1e-13
+        )
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_one_forward_and_one_inverse_fft(self, batch, rng, monkeypatch):
+        u = rng.standard_normal(batch + (N_GRID,)) + 1j * rng.standard_normal(batch + (N_GRID,))
+        spec = np.fft.fft(0.2 * u, axis=-1)
+        calls = []
+        for name in ("fft", "ifft"):
+            def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        nls._rhs_spectrum(spec, LENGTH)
+        assert sorted(calls) == ["fft", "ifft"]
+        calls.clear()
+        nls.nls_rhs_values(u, LENGTH)
+        assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
+
+    def test_zero_spectrum_gives_exact_zero(self):
+        rhs = nls._rhs_spectrum(np.zeros((2, N_GRID), dtype=complex), LENGTH)
+        assert rhs.shape == (2, N_GRID) and not rhs.any()
+
+    def test_odd_grid_rejected(self):
+        field = nls.SpectralField.from_values(np.full(N_GRID - 1, 0.1), LENGTH)
+        with pytest.raises(ValidationError):
+            nls.nls_rhs(field)
+        with pytest.raises(ValidationError):
+            nls.dns_run(field, 0.5, 0.25)
 
 
 class TestRandomIc:
@@ -384,10 +459,18 @@ class TestReducedOperatorProperties:
 class TestBatchedEngines:
     def test_dns_batch_matches_serial(self):
         ics = [nls.nls_random_ic(s, LENGTH, N_GRID) for s in range(3)]
-        batch, _ = nls.dns_run_batch(ics, 2.0, 0.5)
-        for ic, series in zip(ics, batch):
-            solo, _ = nls.dns_run(ic, 2.0, 0.5)
-            assert np.max(np.abs(solo.snapshots - series.snapshots)) < 1e-13
+        batch, diag = nls.dns_run_batch(ics, 2.0, 0.5)
+        for b, (ic, series) in enumerate(zip(ics, batch)):
+            # a single run is a batch of one, with per-run types
+            solo, solo_diag = nls.dns_run(ic, 2.0, 0.5)
+            assert np.array_equal(solo.times, series.times)
+            assert np.array_equal(solo.snapshots, series.snapshots)
+            for name in ("mass", "energy"):
+                assert solo_diag[name].shape == solo.times.shape
+                assert np.array_equal(solo_diag[name], diag[name][:, b])
+                assert type(solo_diag[f"{name}_drift"]) is float
+                assert solo_diag[f"{name}_drift"] == diag[f"{name}_drift"][b]
+            assert (solo_diag["dt"], solo_diag["n_steps"]) == (diag["dt"], diag["n_steps"])
 
     def test_rom_batch_matches_serial(self, rng):
         snaps = 0.1 * (rng.standard_normal((30, N_GRID)) + 1j * rng.standard_normal((30, N_GRID)))

@@ -87,6 +87,41 @@ def test_each_constrained_evaluation_solves_once(rng, batched):
         assert names.count("core.apply_invariant_correction") == 1
 
 
+def _dns_outputs():
+    ics = [nls.nls_random_ic(s, 16.0 * np.pi, 32) for s in (1, 2)]
+    solo, solo_diag = nls.dns_run(ics[0], 0.5, 0.25)
+    batch, batch_diag = nls.dns_run_batch(ics, 0.5, 0.25)
+    arrays = [solo.times, solo.snapshots] + [s.snapshots for s in batch]
+    for diag in (solo_diag, batch_diag):
+        arrays += [diag[k] for k in ("mass", "energy", "mass_drift", "energy_drift")]
+    return arrays
+
+
+def test_traced_dns_runs_give_identical_outputs():
+    untraced = _dns_outputs()
+    tracer = Tracer()
+    with tracer.installed(layers.patches(tracer)):
+        traced = _dns_outputs()
+    for before, after in zip(untraced, traced, strict=True):
+        assert np.array_equal(before, after)
+
+
+def test_each_dns_run_records_one_dns_span():
+    # a single run is a batch of one, so the setup.nls.dns.* metrics see it
+    # once, and a batched run is not counted again
+    ic = nls.nls_random_ic(1, 16.0 * np.pi, 32)
+    runs = {1: lambda: nls.dns_run(ic, 0.5, 0.25),
+            2: lambda: nls.dns_run_batch([ic, ic], 0.5, 0.25)}
+    for members, run in runs.items():
+        tracer = Tracer()
+        with tracer.installed(layers.patches(tracer)):
+            _, diag = run()
+        names = [span[0] for span in tracer.spans]
+        assert names.count(layers.DNS) == 1
+        counted = tracer.counters[tracer.run]["nls.dns.member_steps"]
+        assert counted == members * diag["n_steps"]
+
+
 def _swe_run_files(config, out_dir):
     record = runner.run_experiment(config)
     paths = runner.write_outputs(record, out_dir)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from rons import fv, io, nls, swe
-from rons.config import parse_config
+from rons import fv, io, nls, runner, swe
+from rons.config import RunConfig, parse_config
 from rons.integrators import StepSchedule, integrate, step_ssprk3
 from rons.runner import run_experiment, write_outputs
 
@@ -323,6 +323,28 @@ snapshot_cadence = 0.5
         assert record.metrics["mass_drift"] < 1e-8
         assert record.metrics["energy_drift"] < 1e-8
         assert record.metrics["rom_modes"] == 4
+
+    def test_training_dns_is_one_batch(self, monkeypatch):
+        # all training seeds advance together, and the basis is bitwise the
+        # one trained from per-seed runs
+        config = RunConfig(model="nls-rom", scheme="tg", modes=64, length=16 * np.pi,
+                           training_seeds=(100, 101, 102), training_horizon=3.0,
+                           rom_modes=3).validate()
+        serial = [nls.dns_run(nls.nls_random_ic(s, config.length, 64), 3.0, 0.5)[0]
+                  for s in config.training_seeds]
+        want = nls.compute_pod(np.vstack([s.snapshots for s in serial]), 3, config.length)
+        batches = []
+        original = nls.dns_run_batch
+
+        def counted(ics, *args, **kwargs):
+            batches.append(len(ics))
+            return original(ics, *args, **kwargs)
+
+        monkeypatch.setattr(nls, "dns_run_batch", counted)
+        basis = runner._rom_basis(config)
+        assert batches == [3]
+        assert np.array_equal(basis.modes, want.modes)
+        assert np.array_equal(basis.mean, want.mean)
 
     def test_rom_ensemble_histogram(self, tmp_path):
         series, _ = nls.dns_run(nls.nls_random_ic(100, 16 * np.pi, 64), 30.0, 0.5)
