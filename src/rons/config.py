@@ -116,12 +116,22 @@ class RunConfig:
             if self.nls_ic not in ("random", "project"):
                 raise ConfigError("nls ic must be 'random' or 'project'")
         if self.error_window is not None:
+            if len(self.error_window) != 2:
+                raise ConfigError("error window needs exactly two numbers: start, end")
             lo, hi = self.error_window
             if not (0 <= lo < hi <= self.horizon):
                 raise ConfigError("error window must satisfy 0 <= start < end <= horizon")
+        if len(self.sample_window) != 2:
+            raise ConfigError("sampling window needs exactly two numbers: start, end")
         lo, hi = self.sample_window
         if not (0 <= lo < hi):
             raise ConfigError("sampling window must be increasing")
+        if not self.sample_cadence > 0:
+            raise ConfigError("sampling cadence must be positive")
+        if not self.snapshot_cadence > 0:
+            raise ConfigError("nls snapshot cadence must be positive")
+        if self.bins < 1:
+            raise ConfigError("sampling needs at least one histogram bin")
         return self
 
     def resolved_out_dir(self) -> Path:
@@ -184,6 +194,17 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     def get(section, key, default=None):
         return raw.get(section, {}).get(key, default)
 
+    def read(section, key, convert, default):
+        """``convert`` applied to the key's text, or ``default`` when unset;
+        a value that does not convert is a :class:`ConfigError` naming the key."""
+        text = get(section, key)
+        if text is None:
+            return default
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key} = {text!r} is not valid: {exc}") from None
+
     model = get("run", "model")
     if model is None:
         raise ConfigError("config must set run.model")
@@ -197,20 +218,19 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig(
         model=model,
         scheme=scheme,
-        seed=int(get("run", "seed", 0)),
-        seeds=_parse_seeds(get("run", "seeds")) if get("run", "seeds") else None,
-        length=float(get("space", "length", 32.0 * math.pi if is_nls else 10.0)),
-        cells=int(get("space", "cells", 1024)),
-        modes=int(get("space", "modes", 256)),
-        horizon=float(get("time", "horizon", 100.0 if is_nls else 10.0)),
-        cadence=float(get("time", "cadence", 1.0)),
-        dt=None if get("time", "dt", "auto") in ("auto", None)
-        else float(get("time", "dt")),
+        seed=read("run", "seed", int, 0),
+        seeds=read("run", "seeds", lambda t: _parse_seeds(t) if t else None, None),
+        length=read("space", "length", float, 32.0 * math.pi if is_nls else 10.0),
+        cells=read("space", "cells", int, 1024),
+        modes=read("space", "modes", int, 256),
+        horizon=read("time", "horizon", float, 100.0 if is_nls else 10.0),
+        cadence=read("time", "cadence", float, 1.0),
+        dt=read("time", "dt", lambda t: None if t == "auto" else float(t), None),
         stepper=get("time", "stepper", "rk4" if is_nls else "ssprk3").strip(),
-        cfl_factor=float(get("time", "cfl_factor", 2.0)),
+        cfl_factor=read("time", "cfl_factor", float, 2.0),
         swe_ic=get("swe", "ic", "gaussian").strip(),
-        theta=float(get("swe", "theta", 1.2)),
-        snapshot_times=_floats(get("swe", "snapshot_times", "0, 0.5, 2, 7, 10")),
+        theta=read("swe", "theta", float, 1.2),
+        snapshot_times=read("swe", "snapshot_times", _floats, (0.0, 0.5, 2.0, 7.0, 10.0)),
         enforce=tuple(
             tok.strip()
             for tok in get(
@@ -219,21 +239,18 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             ).split(",")
             if tok.strip()
         ),
-        rom_modes=int(get("nls", "rom_modes", 9)),
+        rom_modes=read("nls", "rom_modes", int, 9),
         basis_path=get("nls", "basis"),
-        training_seeds=tuple(int(s) for s in _floats(get("nls", "training_seeds", "100, 101"))),
-        training_horizon=float(get("nls", "training_horizon", 100.0)),
-        snapshot_cadence=float(get("nls", "snapshot_cadence", 0.5)),
+        training_seeds=read("nls", "training_seeds",
+                            lambda t: tuple(int(s) for s in _floats(t)), (100, 101)),
+        training_horizon=read("nls", "training_horizon", float, 100.0),
+        snapshot_cadence=read("nls", "snapshot_cadence", float, 0.5),
         nls_ic=get("nls", "ic", "random").strip(),
-        ic_amplitude=float(get("nls", "ic_amplitude", 1.0)),
-        error_window=(
-            tuple(_floats(get("nls", "error_window")))
-            if get("nls", "error_window")
-            else None
-        ),
-        sample_window=tuple(_floats(get("sampling", "window", "25, 75"))),
-        sample_cadence=float(get("sampling", "cadence", 0.1)),
-        bins=int(get("sampling", "bins", 40)),
+        ic_amplitude=read("nls", "ic_amplitude", float, 1.0),
+        error_window=read("nls", "error_window", lambda t: _floats(t) if t else None, None),
+        sample_window=read("sampling", "window", _floats, (25.0, 75.0)),
+        sample_cadence=read("sampling", "cadence", float, 0.1),
+        bins=read("sampling", "bins", int, 40),
         out_dir=get("output", "directory", ""),
         out_format=get("output", "format", "csv").strip(),
         raw=raw,

@@ -43,6 +43,11 @@ DEGENERACY_TOL = 1e-10
 #: its eigenvalues in ``[2 - r, r]``, so ``r / (2 - r) <= CONDITION_LIMIT``.
 _GERSHGORIN_ROW_SUM = 2.0 * CONDITION_LIMIT / (1.0 + CONDITION_LIMIT)
 
+#: Smallest pivot ``1 - r^2`` of a Jacobi-scaled 2 x 2 matrix ``[[1, r], [r, 1]]``
+#: with the Gershgorin certificate ``1 + |r| <= _GERSHGORIN_ROW_SUM``: one
+#: test on the pivot makes both checks, and the bound is positive.
+_PAIR_PIVOT_MIN = 1.0 - (_GERSHGORIN_ROW_SUM - 1.0) ** 2
+
 _SYMMETRY_RTOL = 1e-12
 _DIAGONAL_RTOL = 1e-14
 _IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -183,7 +188,10 @@ class MetricTensor:
 
     ``kind`` is one of ``"dense"``, ``"diagonal"`` or ``"block"``.  The dense
     kind caches its Cholesky factor on first use, the diagonal kind whether
-    every entry is positive; the inverse is never formed.
+    every entry is positive and whether every entry is one; the inverse is
+    never formed.  A unit diagonal metric's :meth:`solve` returns its input
+    itself (``x / 1.0 == x`` bitwise), so callers must not write into the
+    result of a solve they did not allocate.
     """
 
     def __init__(self, kind, *, dense=None, diag=None, blocks=None, boundaries=None):
@@ -193,6 +201,7 @@ class MetricTensor:
         self._blocks = blocks
         self._chol = None
         self._singular = None
+        self._unit = None
         if boundaries is None and blocks is not None:
             offs = [0]
             for b in blocks:
@@ -261,8 +270,11 @@ class MetricTensor:
         if self.kind == "diagonal":
             if self._singular is None:
                 self._singular = bool((self._diag <= 0).any())
+                self._unit = bool((self._diag == 1.0).all())
             if self._singular:
                 raise SingularMetricError("diagonal metric has non-positive entries")
+            if self._unit:
+                return rhs
             return rhs / self._diag
         if self.kind == "dense":
             if rhs.ndim == 1:
@@ -525,6 +537,34 @@ def _solve_small(c: list, b: list) -> list | None:
     return [s0 * x0, s1 * x1, s2 * x2][:m]
 
 
+def _solve_pairs(c: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Multipliers of a batch of 2 x 2 systems in closed form, or ``None``.
+
+    The numpy path's checks over the whole batch at once: with the Jacobi
+    scaling ``s = 1 / sqrt(diag C)`` each scaled matrix is ``[[1, r], [r, 1]]``
+    with ``r = s_0 s_1 C_01``, certified by Gershgorin when ``1 + |r|`` is at
+    most :data:`_GERSHGORIN_ROW_SUM` (tested on the pivot, see
+    :data:`_PAIR_PIVOT_MIN`), and ``lambda = s (y - r y') / (1 - r^2)`` with
+    ``y = s b`` and ``y'`` its two entries swapped.  Returns ``None``, so the
+    caller takes the numpy path for the whole batch, when any member has a
+    diagonal entry that is not positive and finite, or an asymmetric or
+    uncertified scaled matrix.
+    """
+    diag = c.diagonal(axis1=-2, axis2=-1)
+    if not (diag.min() > 0 and diag.max() < np.inf):
+        return None
+    s = 1.0 / np.sqrt(diag)
+    s01 = s[..., 0] * s[..., 1]
+    r = c[..., 0, 1] * s01
+    if not abs(r - c[..., 1, 0] * s01).max() <= _SYMMETRY_RTOL:
+        return None
+    pivot = 1.0 - r * r
+    if not pivot.min() >= _PAIR_PIVOT_MIN:
+        return None
+    y = s * b
+    return s * (y - r[..., None] * y[..., ::-1]) / pivot[..., None]
+
+
 def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the constraint equations ``C lambda = b``, one per batch member.
 
@@ -542,20 +582,27 @@ def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     An unbatched system with ``m <= 3`` is first offered to
     :func:`_solve_small`, which solves it in Python floats when its diagonal
     is positive and it passes the same checks; that skips some twenty numpy
-    calls.  Whatever the float path declines takes the numpy path above.
+    calls.  A batch of ``m = 2`` systems is likewise first offered to
+    :func:`_solve_pairs`, which solves every member in closed form when all
+    of them pass the checks.  Whatever these paths decline takes the numpy
+    path above.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
     m = b.shape[-1]
     if c.shape != b.shape + (m,):
         raise DimensionError(f"constraint matrix shape {c.shape} does not match b {b.shape}")
-    if b.ndim == 1 and 0 < m <= 3:
+    if not b.size:
+        return np.zeros(b.shape)
+    if b.ndim == 1 and m <= 3:
         lam = _solve_small(c.tolist(), b.tolist())
         if lam is not None:
             return np.array(lam)
+    if b.ndim > 1 and m == 2:
+        lam = _solve_pairs(c, b)
+        if lam is not None:
+            return lam
     batch = b.shape[:-1]
-    if m == 0:
-        return np.zeros(b.shape)
     c = c.reshape(-1, m, m)
     b = b.reshape(-1, m)
     null = c.diagonal(axis1=1, axis2=2) <= 0
@@ -712,10 +759,14 @@ def apply_invariant_correction(
         c = np.where(keep[..., :, None] & keep[..., None, :], c, 0.0)
         b = np.where(keep, b, 0.0)
     lam = solve_lagrange(c, b)
-    solved_o *= lam[..., m_s:, None]
-    out = velocity - solved_o[..., 0, :]
-    for k in range(1, solved_o.shape[-2]):
-        out -= solved_o[..., k, :]
+    if len(own) > 1:
+        out = velocity - (lam[..., None, m_s:] @ solved_o)[..., 0, :]
+    elif solved_o is g_o:
+        # a unit metric hands back g_o, a view of the caller's gradient
+        out = velocity - solved_o[..., 0, :] * lam[..., m_s:]
+    else:
+        solved_o *= lam[..., m_s:, None]
+        out = velocity - solved_o[..., 0, :]
     if m_s:
         out -= lam[..., :m_s] @ solved_s
     return out

@@ -127,6 +127,8 @@ def integrate(
     the first step boundary at or past each sample point); ``None`` records
     every step.  Observers are callables ``(t, y) -> dict | None``.
     """
+    if observe_every is not None and not observe_every > 0:
+        raise ValidationError(f"observe_every must be positive, got {observe_every}")
     t_final = schedule.t_final
     y = np.array(y0, copy=True)
     t = 0.0

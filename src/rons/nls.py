@@ -300,11 +300,16 @@ class CubicForm:
                    stack_amplitudes(fields[0]), _real_form(fields[1:]), _real_form(test))
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
-        v = self.field_offset + a @ self.field
+        v = a @ self.field
+        v += self.field_offset
         u = v.reshape(v.shape[:-1] + (2, -1))             # [Re u, -Im u]
-        square = u * u
-        cubic = u * (square[..., :1, :] + square[..., 1:, :])  # stacked |u|^2 u
-        return self.constant + a @ self.linear + cubic.reshape(v.shape) @ self.test
+        modulus2 = u[..., 0, :] * u[..., 0, :]
+        modulus2 += u[..., 1, :] * u[..., 1, :]
+        u *= modulus2[..., None, :]                        # v is now stacked |u|^2 u
+        out = a @ self.linear
+        out += self.constant
+        out += v @ self.test
+        return out
 
 
 @dataclass

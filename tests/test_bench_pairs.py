@@ -1,0 +1,88 @@
+"""The pair statistics of ``tools/bench_pairs.py``, without running perfbench."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+class TestQuartiles:
+    def test_odd_count(self):
+        assert bench_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 3.0, 4.0)
+
+    def test_even_count_interpolates(self):
+        # numpy.percentile([1, 2, 3, 4], [25, 50, 75]) == 1.75, 2.5, 3.25
+        assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.75, 2.5, 3.25)
+
+    def test_one_value(self):
+        assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+class TestSummarize:
+    def test_higher_is_better(self):
+        parent = [10.0, 11.0, 9.0, 10.0, 12.0]
+        change = [12.0, 13.0, 8.0, 12.5, 14.0]
+        out = bench_pairs.summarize(parent, change, "higher")
+        assert out["parent_median"] == 10.0
+        assert out["change_median"] == 12.5
+        assert out["parent_quartiles"] == [10.0, 11.0]
+        assert out["parent_iqr"] == 1.0
+        assert out["change_over_parent"] == 1.25
+        assert out["change_wins"] == "4/5"   # pair 2 went the other way
+        assert out["resolved"] is True
+        assert out["parent_per_pair"] == parent and out["change_per_pair"] == change
+
+    def test_lower_is_better_counts_the_other_way(self):
+        out = bench_pairs.summarize([1.0, 1.0, 1.0], [0.5, 2.0, 0.9], "lower")
+        assert out["change_wins"] == "2/3"
+        assert out["change_median"] == 0.9
+
+    def test_spread_wider_than_the_difference_is_unresolved(self):
+        out = bench_pairs.summarize([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 3.0, 4.0], "lower")
+        assert out["parent_iqr"] == 1.5
+        assert out["change_median"] - out["parent_median"] == 0.5
+        assert out["resolved"] is False
+
+    def test_no_direction_counts_no_wins(self):
+        out = bench_pairs.summarize([1.0, 2.0], [3.0, 4.0], None)
+        assert "change_wins" not in out
+        assert out["change_over_parent"] == 2.3333333333333335
+
+    def test_ties_are_not_wins(self):
+        assert bench_pairs.summarize([1.0, 1.0], [1.0, 1.0], "higher")["change_wins"] == "0/2"
+
+    def test_unpaired_values_rejected(self):
+        with pytest.raises(ValueError):
+            bench_pairs.summarize([1.0, 2.0], [1.0], "higher")
+
+
+def test_seed_ranges_and_lists():
+    assert bench_pairs.parse_seeds("301..304") == [301, 302, 303, 304]
+    assert bench_pairs.parse_seeds("911, 912,913") == [911, 912, 913]
+
+
+def test_directions_come_from_the_benchmark_file():
+    benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    directions = bench_pairs.metric_directions(benchmark)
+    assert directions["rons.member_steps_per_s"] == "higher"
+    assert directions["wall_s"] == "lower"
+    assert directions["rons.core.lagrange.s"] == "lower"
+
+
+def test_collect_summarises_metrics_every_run_reported():
+    def record(rate, extra=None):
+        metrics = {"rons.member_steps_per_s": {"value": rate, "unit": "member-steps/s"}}
+        if extra is not None:
+            metrics["only_sometimes"] = {"value": extra, "unit": "s"}
+        return {"metrics": metrics}
+
+    records = [(record(10.0, 1.0), record(12.0)), (record(11.0), record(13.0, 2.0))]
+    out = bench_pairs.collect(records, {"rons.member_steps_per_s": "higher"})
+    assert list(out) == ["rons.member_steps_per_s"]
+    assert out["rons.member_steps_per_s"]["change_wins"] == "2/2"

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rons import core, io, nls
 from rons.cli import main
+
+from test_config import BAD_VALUES, ensemble_text
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -87,6 +93,33 @@ class TestEnsembleCommand:
     def test_missing_seeds_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path, SWE_OK)
         assert main(["ensemble", cfg]) == 1
+
+
+class TestBadConfigs:
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_exit_one_with_error_line(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path, ensemble_text(**BAD_VALUES[case][0]))
+        assert main(["ensemble", cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cadence", ["0", "-1"])
+    def test_non_positive_cadence_returns(self, tmp_path, cadence):
+        # in a subprocess with a timeout, so a regression to the endless
+        # observation loop fails here instead of hanging the suite
+        text = ensemble_text(sampling=f"window = 0, 0.5\ncadence = {cadence}")
+        cfg = write_config(tmp_path, text)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rons.cli", "ensemble", cfg,
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
 
 
 class TestPodCommand:

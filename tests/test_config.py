@@ -66,6 +66,49 @@ class TestValidation:
             parse_config(write(tmp_path, text))
 
 
+ENSEMBLE = {
+    "run": "model = swe\nscheme = fv\nseeds = 0..1",
+    "space": "cells = 16",
+    "time": "horizon = 0.5\ncadence = 0.25",
+    "swe": "ic = random\nsnapshot_times =",
+    "sampling": "window = 0, 0.5\ncadence = 0.25\nbins = 4",
+}
+
+
+def ensemble_text(**changes):
+    """A small SWE ensemble config with whole sections replaced."""
+    sections = {**ENSEMBLE, **changes}
+    return "".join(f"[{name}]\n{body}\n" for name, body in sections.items())
+
+
+#: config changes that are not runnable, and a word the error must contain
+BAD_VALUES = {
+    "cells not a number": ({"space": "cells = abc"}, "space.cells"),
+    "length not a number": ({"space": "cells = 16\nlength = ten"}, "space.length"),
+    "zero sampling cadence": ({"sampling": "window = 0, 0.5\ncadence = 0"}, "cadence"),
+    "negative sampling cadence": ({"sampling": "window = 0, 0.5\ncadence = -1"}, "cadence"),
+    "zero snapshot cadence": ({"nls": "snapshot_cadence = 0"}, "snapshot cadence"),
+    "negative snapshot cadence": ({"nls": "snapshot_cadence = -0.5"}, "snapshot cadence"),
+    "no histogram bins": ({"sampling": "window = 0, 0.5\nbins = 0"}, "bin"),
+    "bins not a number": ({"sampling": "window = 0, 0.5\nbins = many"}, "sampling.bins"),
+    "one-number window": ({"sampling": "window = 25"}, "two numbers"),
+    "three-number window": ({"sampling": "window = 0, 0.25, 0.5"}, "two numbers"),
+    "one-number error window": ({"nls": "error_window = 25"}, "two numbers"),
+}
+
+
+class TestRejectedValues:
+    def test_base_config_is_valid(self, tmp_path):
+        cfg = parse_config(write(tmp_path, ensemble_text()))
+        assert (cfg.seeds, cfg.bins, cfg.sample_window) == ((0, 1), 4, (0.0, 0.5))
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_rejected_with_config_error(self, tmp_path, case):
+        changes, word = BAD_VALUES[case]
+        with pytest.raises(ConfigError, match=word):
+            parse_config(write(tmp_path, ensemble_text(**changes)))
+
+
 class TestSeeds:
     def test_range(self, tmp_path):
         cfg = parse_config(

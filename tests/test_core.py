@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -292,6 +293,11 @@ class TestSolveLagrange:
     def test_empty(self):
         assert core.solve_lagrange(np.zeros((0, 0)), np.zeros(0)).size == 0
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_empty_batch(self, m):
+        lam = core.solve_lagrange(np.zeros((0, m, m)), np.zeros((0, m)))
+        assert lam.shape == (0, m)
+
     def test_badly_scaled_but_independent(self):
         # scale disparity alone must not trigger the fallback
         c = np.diag([1e8, 1e-8])
@@ -397,6 +403,151 @@ class TestSmallSystemPath:
         finite = np.isfinite(batched)
         assert np.array_equal(np.isfinite(single), finite)
         assert np.allclose(single[finite], batched[finite], rtol=1e-12, atol=0.0)
+
+
+def _numpy_path(c, b):
+    """``solve_lagrange`` with the closed form for batched pairs declining."""
+    with mock.patch.object(core, "_solve_pairs", lambda c, b: None):
+        return core.solve_lagrange(c, b)
+
+
+def _pair_batch(rng, batch, e_max=8.0, t_max=9.0):
+    """``batch`` symmetric 2 x 2 systems ``D [[1, r], [r, 1]] D`` with diagonal
+    entries ``10^e``, ``|e| <= e_max``, and ``|r| = 1 - 10^-t``,
+    ``0 <= t <= t_max``; member 0 takes both extremes.  Returns ``C``, ``b``
+    and the condition number ``(1 + |r|) / (1 - |r|)`` of each scaled matrix."""
+    e = rng.uniform(-e_max, e_max, (batch, 2))
+    e[0] = [-e_max, e_max]
+    t = rng.uniform(0.0, t_max, batch)
+    t[0] = t_max
+    r = rng.choice([-1.0, 1.0], batch) * (1.0 - 10.0 ** -t)
+    d = 10.0 ** (e / 2)
+    c = np.empty((batch, 2, 2))
+    c[:, 0, 0], c[:, 1, 1] = d[:, 0] ** 2, d[:, 1] ** 2
+    c[:, 0, 1] = c[:, 1, 0] = r * d[:, 0] * d[:, 1]
+    b = d * rng.standard_normal((batch, 2))
+    return c, b, (1.0 + abs(r)) / (1.0 - abs(r))
+
+
+def _outcome(solve, c, b):
+    """What one solve does: ``("raised", type)`` or ``("value", lambda,
+    warning messages)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            lam = solve(c, b)
+        except Exception as exc:   # noqa: BLE001 - the type is the outcome
+            return ("raised", type(exc))
+    return ("value", lam, [(w.category, str(w.message)) for w in caught])
+
+
+class TestPairedClosedForm:
+    """A batch of 2 x 2 systems that all pass the checks is solved in closed
+    form; a batch with any member that fails one takes the numpy path whole."""
+
+    @given(st.sampled_from([1, 3, 20]), st.sampled_from([0.0, 2.0, 8.0]),
+           st.sampled_from([0.0, 3.0, 9.0]), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_path(self, batch, e_max, t_max, seed):
+        # Two backward-stable solves of a system with condition number
+        # kappa agree to about kappa * eps in the scaled multipliers (both
+        # paths round the scaled matrix differently), so the 1e-12 bound is
+        # relative to the scaled multipliers and scaled by kappa.
+        c, b, kappa = _pair_batch(np.random.default_rng(seed), batch, e_max, t_max)
+        got = core.solve_lagrange(c, b)
+        want = _numpy_path(c, b)
+        assert got.shape == want.shape == (batch, 2)
+        s = 1.0 / np.sqrt(c.diagonal(axis1=1, axis2=2))
+        diff = np.linalg.norm((got - want) / s, axis=1)
+        assert np.all(diff <= 1e-12 * kappa * np.linalg.norm(want / s, axis=1))
+
+    def test_solves_each_member(self, rng):
+        c, b, _ = _pair_batch(rng, 20, t_max=6.0)
+        lam = core.solve_lagrange(c, b)
+        residual = np.linalg.norm(np.vecdot(c, lam[:, None, :]) - b, axis=1)
+        assert np.all(residual <= 1e-9 * np.linalg.norm(b, axis=1))
+
+    def test_grons_shaped_batch_makes_no_numpy_solve(self, rng, monkeypatch):
+        # twenty members with two gradients each of width 18, like nls-rom
+        g = rng.standard_normal((20, 2, 18))
+        c, b = g @ g.swapaxes(1, 2), rng.standard_normal((20, 2))
+        want = _numpy_path(c, b)
+        solve_calls = _spy(monkeypatch, "solve")
+        lam = core.solve_lagrange(c, b)
+        assert not solve_calls
+        assert np.allclose(lam, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("fault", [
+        "zero diagonal", "nan diagonal", "inf diagonal", "negative diagonal",
+        "asymmetric", "no Gershgorin certificate", "r of one", "r above one",
+    ])
+    @pytest.mark.parametrize("member", [0, 7])
+    def test_one_failing_member_defers_the_whole_batch(self, rng, fault, member):
+        c, b, _ = _pair_batch(rng, 20, e_max=2.0, t_max=3.0)
+        bad = c[member]
+        diag = np.sqrt(bad[0, 0] * bad[1, 1])
+        if fault.endswith("diagonal"):
+            bad[1, 1] = {"zero": 0.0, "nan": np.nan, "inf": np.inf, "negative": -1.0}[
+                fault.split()[0]]
+        elif fault == "asymmetric":
+            bad[1, 0] *= 1.0 + 1e-6
+        else:
+            r = {"no Gershgorin certificate": 1.0 - 1e-13, "r of one": 1.0,
+                 "r above one": 1.5}[fault]
+            bad[0, 1] = bad[1, 0] = r * diag
+        got = _outcome(core.solve_lagrange, c, b)
+        want = _outcome(_numpy_path, c, b)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] is want[1]
+            return
+        assert np.array_equal(got[1], want[1], equal_nan=True)
+        assert got[2] == want[2]
+        assert len(got[2]) <= 1
+
+    def test_unbatched_pair_keeps_the_float_path(self, monkeypatch):
+        pairs_calls = []
+        monkeypatch.setattr(core, "_solve_pairs",
+                            lambda c, b: pairs_calls.append(1))
+        lam = core.solve_lagrange(np.array([[2.0, 0.5], [0.5, 1.0]]), np.ones(2))
+        assert not pairs_calls
+        assert np.allclose(lam, np.linalg.solve([[2.0, 0.5], [0.5, 1.0]], np.ones(2)))
+
+
+class TestUnitMetric:
+    def test_solve_returns_its_input(self, rng):
+        x = rng.standard_normal((3, 6))
+        x[0, :3] = [np.nan, -0.0, np.inf]
+        for metric in (core.MetricTensor.identity(6),
+                       core.MetricTensor.from_diagonal(np.ones(6))):
+            row = x[1]
+            assert metric.solve(x) is x
+            assert metric.solve(row) is row
+
+    def test_other_diagonals_still_divide(self, rng):
+        x = rng.standard_normal(4)
+        metric = core.MetricTensor.from_diagonal([1.0, 1.0, 2.0, 1.0])
+        got = metric.solve(x)
+        assert got is not x
+        assert np.array_equal(got, x / np.array([1.0, 1.0, 2.0, 1.0]))
+
+    def test_non_positive_entries_still_raise(self):
+        with pytest.raises(SingularMetricError):
+            core.MetricTensor.from_diagonal([1.0, 0.0]).solve(np.ones(2))
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_correction_leaves_gradients_alone(self, rng, batch, k):
+        w = 8
+        metric = core.MetricTensor.identity(w)
+        velocity = rng.standard_normal(batch + (w,))
+        # per-member gradients; a single state's are shared ones
+        gradients = [rng.standard_normal(batch + (w,)) for _ in range(k)]
+        saved = [g.copy() for g in gradients]
+        out = core.apply_invariant_correction(metric, velocity, gradients)
+        for g, before in zip(gradients, saved):
+            assert np.array_equal(g, before)
+        want = reference_correction(metric, velocity, gradients)
+        assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(velocity)
 
 
 class TestGronsRhs:
@@ -532,11 +683,14 @@ class TestBatchedCorrection:
         assert out is velocity
 
     def test_linalg_error_surfaces_as_rons_error(self, rng, monkeypatch):
+        # the closed form for batched pairs declines, so the solve goes
+        # through numpy's, which raises
         metric, velocity, (constant, energy) = self._mixed_batch(rng)
 
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
+        monkeypatch.setattr(core, "_solve_pairs", lambda c, b: None)
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(ConstraintConditioningError) as info:
             core.apply_invariant_correction(metric, velocity[2:], [constant, energy[2:]])

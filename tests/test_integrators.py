@@ -155,6 +155,19 @@ class TestIntegrate:
             integrate(rhs, np.array([1.0]), StepSchedule(t_final=10.0, dt=0.25))
         assert info.value.time is not None
 
+    @pytest.mark.parametrize("cadence", [0.0, -1.0, float("nan")])
+    def test_non_positive_cadence_rejected_before_stepping(self, cadence):
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return -y
+
+        with pytest.raises(ValidationError, match="observe_every"):
+            integrate(rhs, np.array([1.0]), StepSchedule(t_final=1.0, dt=0.5),
+                      observe_every=cadence)
+        assert not calls
+
     def test_store_states_off(self):
         traj = integrate(decay, np.array([1.0]), StepSchedule(t_final=1.0, dt=0.5),
                          store_states=False)

@@ -456,6 +456,70 @@ class TestReducedOperatorProperties:
             assert_relative_close(q.gradient(a), g, 1e-12)
 
 
+def reference_cubic_form(form, a):
+    """Oracle: the cubic form composed out of place, one temporary per step."""
+    v = form.field_offset + a @ form.field
+    u = v.reshape(v.shape[:-1] + (2, -1))
+    square = u * u
+    cubic = u * (square[..., :1, :] + square[..., 1:, :])
+    return form.constant + a @ form.linear + cubic.reshape(v.shape) @ form.test
+
+
+def random_cubic_form(rng, n_modes=5, n_grid=12):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return nls.CubicForm.build(cplx(n_modes), cplx(n_modes, n_modes),
+                               cplx(n_modes + 1, n_grid), cplx(n_grid, n_modes))
+
+
+class TestCubicForm:
+    @pytest.mark.parametrize("which", ["reduced operator", "random"])
+    @pytest.mark.parametrize("batch", [(), (1,), (20,)])
+    def test_matches_reference_bitwise_and_reads_only(self, which, batch, rng):
+        if which == "random":
+            form = random_cubic_form(rng)
+        else:
+            form = pod_basis_with_mean().reduced_operator
+        a = 0.4 * rng.standard_normal(batch + (form.linear.shape[0],))
+        before = a.copy()
+        a.setflags(write=False)
+        got = form(a)
+        assert np.array_equal(got, reference_cubic_form(form, a))
+        assert np.array_equal(a, before)
+
+    def test_energy_gradient_matches_reference_bitwise(self, rng):
+        # the energy gradient is a cubic form of the same basis arrays
+        basis = pod_basis_with_mean()
+        energy = nls.rom_quantities(basis)[1]
+        form = nls.CubicForm.build(
+            0.25 * basis.dx * (basis.mean_derivative @ basis.mode_derivatives.conj().T),
+            0.25 * basis.dx * (basis.mode_derivatives @ basis.mode_derivatives.conj().T),
+            np.vstack([basis.mean, basis.modes]), -basis._projector)
+        a = 0.4 * rng.standard_normal((20, 2 * basis.n_modes))
+        assert np.array_equal(energy.gradient(a), reference_cubic_form(form, a))
+
+
+class TestConstrainedBatch:
+    def test_grons_batch_makes_no_numpy_solve(self, rng, monkeypatch):
+        # twenty members, mass and energy: every member's 2 x 2 constraint
+        # system is solved in closed form
+        basis = pod_basis_with_mean()
+        quantities = nls.rom_quantities(basis)
+        a = 0.4 * rng.standard_normal((20, 2 * basis.n_modes))
+        calls = []
+        original = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(1) or original(*args))
+        out = nls.rom_rhs(a, basis, quantities)
+        assert not calls
+        for q in quantities:
+            g = q.gradient(a)
+            rate = np.vecdot(g, out)
+            assert np.all(np.abs(rate) <= 1e-10 * np.linalg.norm(g, axis=1)
+                          * np.linalg.norm(out, axis=1))
+
+
 class TestBatchedEngines:
     def test_dns_batch_matches_serial(self):
         ics = [nls.nls_random_ic(s, LENGTH, N_GRID) for s in range(3)]
