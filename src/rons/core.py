@@ -1,9 +1,9 @@
 """Constrained projection dynamics.
 
 Builds the linear algebra shared by every solver in this package: metric
-tensors (dense, block-diagonal, diagonal), projected right-hand sides,
-declared first integrals with analytic gradients, and the Lagrange-multiplier
-correction that keeps those integrals constant along the projected dynamics.
+tensors (dense or diagonal), projected right-hand sides, declared first
+integrals with analytic gradients, and the Lagrange-multiplier correction
+that keeps those integrals constant along the projected dynamics.
 
 Complex coefficients are stored as stacked real vectors.  The stacking used
 throughout is ``T(z) = [Re z, -Im z]`` per component, together with the real
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -186,27 +187,21 @@ def state_values(a) -> np.ndarray:
 class MetricTensor:
     """Gram matrix of the modes under the ambient inner product.
 
-    ``kind`` is one of ``"dense"``, ``"diagonal"`` or ``"block"``.  The dense
-    kind caches its Cholesky factor on first use, the diagonal kind whether
-    every entry is positive and whether every entry is one; the inverse is
-    never formed.  A unit diagonal metric's :meth:`solve` returns its input
-    itself (``x / 1.0 == x`` bitwise), so callers must not write into the
-    result of a solve they did not allocate.
+    ``kind`` is ``"dense"`` or ``"diagonal"``.  The dense kind caches its
+    Cholesky factor on first use, the diagonal kind whether every entry is
+    positive and whether every entry is one; the inverse is never formed.  A
+    unit diagonal metric's :meth:`solve` returns its input itself
+    (``x / 1.0 == x`` bitwise), so callers must not write into the result of
+    a solve they did not allocate.
     """
 
-    def __init__(self, kind, *, dense=None, diag=None, blocks=None, boundaries=None):
+    def __init__(self, kind, *, dense=None, diag=None, boundaries=None):
         self.kind = kind
         self._dense = dense
         self._diag = diag
-        self._blocks = blocks
         self._chol = None
         self._singular = None
         self._unit = None
-        if boundaries is None and blocks is not None:
-            offs = [0]
-            for b in blocks:
-                offs.append(offs[-1] + b.size)
-            boundaries = tuple(offs)
         self.boundaries = boundaries
 
     # -- constructors -------------------------------------------------------
@@ -230,23 +225,12 @@ class MetricTensor:
     def size(self) -> int:
         if self.kind == "dense":
             return self._dense.shape[0]
-        if self.kind == "diagonal":
-            return self._diag.shape[0]
-        return self.boundaries[-1]
+        return self._diag.shape[0]
 
     def toarray(self) -> np.ndarray:
         if self.kind == "dense":
             return self._dense.copy()
-        if self.kind == "diagonal":
-            return np.diag(self._diag)
-        out = np.zeros((self.size, self.size))
-        for blk, lo, hi in self._iter_blocks():
-            out[lo:hi, lo:hi] = blk.toarray()
-        return out
-
-    def _iter_blocks(self):
-        for blk, lo, hi in zip(self._blocks, self.boundaries[:-1], self.boundaries[1:]):
-            yield blk, lo, hi
+        return np.diag(self._diag)
 
     # -- linear algebra ------------------------------------------------------
 
@@ -276,26 +260,16 @@ class MetricTensor:
             if self._unit:
                 return rhs
             return rhs / self._diag
-        if self.kind == "dense":
-            if rhs.ndim == 1:
-                return linalg.cho_solve((self._factor(), True), rhs)
-            columns = rhs.reshape(-1, self.size).T
-            return linalg.cho_solve((self._factor(), True), columns).T.reshape(rhs.shape)
-        out = np.empty_like(rhs)
-        for blk, lo, hi in self._iter_blocks():
-            out[..., lo:hi] = blk.solve(rhs[..., lo:hi])
-        return out
+        if rhs.ndim == 1:
+            return linalg.cho_solve((self._factor(), True), rhs)
+        columns = rhs.reshape(-1, self.size).T
+        return linalg.cho_solve((self._factor(), True), columns).T.reshape(rhs.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind == "diagonal":
             return self._diag * x
-        if self.kind == "dense":
-            return self._dense @ x
-        out = np.empty_like(x)
-        for blk, lo, hi in self._iter_blocks():
-            out[lo:hi] = blk.matvec(x[lo:hi])
-        return out
+        return self._dense @ x
 
 
 def assemble_metric(inner_products) -> MetricTensor:
@@ -323,25 +297,23 @@ def assemble_block_metric(blocks: Sequence) -> MetricTensor:
 
     Accepts :class:`MetricTensor` blocks or raw pairing matrices.  Component
     boundaries are recorded so systems of PDEs keep their field offsets.
+    Diagonal blocks merge into one diagonal metric, a lone block is returned
+    as it is, and any other mix becomes one metric of the block-diagonal
+    matrix.
     """
     if not blocks:
         raise ValidationError("block metric needs at least one block")
     tensors = [
         b if isinstance(b, MetricTensor) else assemble_metric(b) for b in blocks
     ]
-    offs = [0]
-    for t in tensors:
-        offs.append(offs[-1] + t.size)
-    boundaries = tuple(offs)
     if len(tensors) == 1:
-        single = tensors[0]
-        single.boundaries = boundaries
-        return single
-    if all(t.kind == "diagonal" for t in tensors):
+        merged = tensors[0]
+    elif all(t.kind == "diagonal" for t in tensors):
         merged = MetricTensor.from_diagonal(np.concatenate([t._diag for t in tensors]))
-        merged.boundaries = boundaries
-        return merged
-    return MetricTensor("block", blocks=tensors, boundaries=boundaries)
+    else:
+        merged = assemble_metric(linalg.block_diag(*(t.toarray() for t in tensors)))
+    merged.boundaries = tuple(accumulate((t.size for t in tensors), initial=0))
+    return merged
 
 
 def complexify_metric(complex_pairings) -> MetricTensor:
@@ -789,33 +761,3 @@ def grons_rhs(a, system: RonsSystem) -> np.ndarray:
         system.degeneracy_tol,
     )
 
-
-def project_onto_levels(
-    a,
-    quantities: Sequence[ConservedQuantity],
-    targets: Sequence[float],
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 25,
-) -> np.ndarray:
-    """Optional post-step Newton projection onto invariant level sets.
-
-    OFF by default everywhere: the solvers enforce tangency only.  Kept for
-    experiments that want to renormalize after long integrations.
-    """
-    x = state_values(a).copy()
-    targets = np.asarray(targets, dtype=float)
-    scale = np.maximum(np.abs(targets), 1.0)
-    for _ in range(max_iter):
-        residual = np.array([q.value(x) for q in quantities]) - targets
-        if np.max(np.abs(residual) / scale) < tol:
-            return x
-        jac = np.stack([np.asarray(q.gradient(x), dtype=float) for q in quantities])
-        delta = np.linalg.lstsq(jac @ jac.T, residual, rcond=None)[0]
-        x = x - jac.T @ delta
-    residual = np.array([q.value(x) for q in quantities]) - targets
-    if np.max(np.abs(residual) / scale) >= tol:
-        warnings.warn(
-            "invariant projection did not converge", RuntimeWarning, stacklevel=2
-        )
-    return x

@@ -28,7 +28,6 @@ from . import core
 from .errors import (
     AlignmentError,
     DimensionError,
-    DivergenceError,
     RankError,
     ResampledInitialConditionWarning,
     ValidationError,
@@ -147,19 +146,6 @@ def _rhs_spectrum(spec: np.ndarray, length: float) -> np.ndarray:
     return rhs
 
 
-def nls_rhs(field: SpectralField) -> SpectralField:
-    """Time derivative of the envelope, as a spectral field.
-
-    Linear terms act in spectral space with multiplier ``-ik/2 + ik^2/8``;
-    the cubic term is evaluated pseudo-spectrally with 3/2-rule padding,
-    one inverse and one forward FFT per evaluation (see :func:`_rhs_spectrum`).
-    """
-    spec = field.coefficients
-    if not np.all(np.isfinite(spec)):
-        raise DivergenceError("non-finite spectral coefficients")
-    return SpectralField(_rhs_spectrum(spec, field.length), field.length)
-
-
 def nls_rhs_values(values: np.ndarray, length: float) -> np.ndarray:
     """Grid-space envelope derivative; batch-transparent over leading axes.
 
@@ -258,11 +244,65 @@ def dns_run(
     }
 
 
-def relative_drift(series: np.ndarray, floor: float = 1e-300) -> float:
-    """Max departure from the initial value, relative to its magnitude."""
+def dns_run_batch(
+    ics: Sequence[SpectralField],
+    t_final: float,
+    snapshot_cadence: float,
+    dt: float | None = None,
+) -> tuple[list[SnapshotSeries], dict]:
+    """Advance many DNS runs together as one stacked spectrum; returns one
+    series per member and per-member diagnostics (see :func:`_run_output`)."""
+    if not ics:
+        raise ValidationError("need at least one initial condition")
+    length = ics[0].length
+    n = ics[0].n_modes
+    for ic in ics:
+        if ic.length != length or ic.n_modes != n:
+            raise DimensionError("batched runs need identical domains")
+    if dt is None:
+        dt = stable_dt(n, length)
+    traj = integrate(
+        lambda s: _rhs_spectrum(s, length),
+        np.stack([ic.coefficients for ic in ics]),
+        StepSchedule(t_final=t_final, dt=dt),
+        stepper=step_rk4,
+        observe_every=snapshot_cadence,
+    )
+    return _run_output(traj, np.fft.ifft(np.stack(traj.states), axis=-1), length, dt)
+
+
+def _run_output(traj, fields: np.ndarray, length: float, dt: float) -> tuple:
+    """Snapshot series and diagnostics of a run's sampled grid fields.
+
+    ``(T, n)`` fields give one series, ``(T,)`` mass and energy histories and
+    float drifts; ``(T, B, n)`` fields give one series per member, ``(T, B)``
+    histories and one drift per member.
+    """
+    if fields.ndim == 2:
+        series = SnapshotSeries(traj.times, fields, length)
+    else:
+        series = [SnapshotSeries(traj.times, fields[:, b], length)
+                  for b in range(fields.shape[1])]
+    mass, energy = field_invariants(fields, length)
+    return series, {
+        "mass": mass,
+        "energy": energy,
+        "mass_drift": relative_drift(mass),
+        "energy_drift": relative_drift(energy),
+        "dt": dt,
+        "n_steps": len(traj.dt_history),
+    }
+
+
+def relative_drift(series: np.ndarray, floor: float = 1e-300):
+    """Max departure from the initial value, relative to the largest magnitude.
+
+    A float for a ``(T,)`` history; one value per column of a ``(T, B)`` one.
+    """
     series = np.asarray(series, dtype=float)
-    scale = max(abs(series[0]), np.max(np.abs(series)), floor)
-    return float(np.max(np.abs(series - series[0])) / scale)
+    departure = np.max(np.abs(series - series[0]), axis=0)
+    drift = departure / np.maximum(np.max(np.abs(series), axis=0), floor)
+    return float(drift) if drift.ndim == 0 else drift
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +520,7 @@ def random_rom_ic(seed: int, basis: PodBasis, n_active: int = 5) -> core.Paramet
 def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.ConservedQuantity]:
     """Discrete mass and energy as functions of the stacked amplitudes.
 
+    Values are :func:`field_invariants` of the reconstructed field.
     Gradients come from the chain rule through ``u(a) = mean + sum z_i phi_i``
     with ``z = a_re - i a_im``: for a functional with first variation
     ``dI = Re <w, du>`` the stacked gradient is ``[Re r, Im r]`` with
@@ -500,34 +541,19 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
     energy_form = CubicForm.build(0.25 * stiffness_offset, 0.25 * stiffness,
                                   np.vstack([basis.mean, basis.modes]), -basis._projector)
 
-    def mass_value(a):
-        u = basis.reconstruct_state(a)
-        return dx * float(np.sum(np.abs(u) ** 2))
-
     def mass_gradient(a):
         return mass_offset + basis.state_values(a) @ mass_gram
-
-    def energy_value(a):
-        z = basis.amplitudes(a)
-        u = basis.reconstruct(z)
-        ux = basis.mean_derivative + z @ basis.mode_derivatives
-        return dx * float(np.sum(np.abs(ux) ** 2) / 8.0 - np.sum(np.abs(u) ** 4) / 4.0)
 
     def energy_gradient(a):
         return energy_form(basis.state_values(a))
 
+    def value(index):
+        return lambda a: field_invariants(basis.reconstruct_state(a), basis.length)[index]
+
     return (
-        core.ConservedQuantity("mass", mass_value, mass_gradient),
-        core.ConservedQuantity("energy", energy_value, energy_gradient),
+        core.ConservedQuantity("mass", value(0), mass_gradient),
+        core.ConservedQuantity("energy", value(1), energy_gradient),
     )
-
-
-def nls_invariants(a, basis: PodBasis):
-    """Mass/energy values and stacked-state gradients at reduced state ``a``."""
-    quantities = rom_quantities(basis)
-    values = np.array([q.value(a) for q in quantities])
-    gradients = [q.gradient(a) for q in quantities]
-    return values, gradients
 
 
 def rom_rhs(a, basis: PodBasis, quantities: Sequence[core.ConservedQuantity] = (),
@@ -561,94 +587,24 @@ def rom_run(
     snapshot_cadence: float,
     dt: float,
     quantities: Sequence[core.ConservedQuantity] = (),
-) -> tuple[SnapshotSeries, dict]:
-    """Integrate a reduced model, recording reconstructed snapshots."""
-    values0 = core.state_values(a0)
+) -> tuple[SnapshotSeries | list[SnapshotSeries], dict]:
+    """Integrate a reduced model, recording reconstructed snapshots.
 
-    def rhs(a):
-        return rom_rhs(a, basis, quantities)
-
-    invariant_fns = rom_quantities(basis)
-
-    def invariant_observer(t, a):
-        return {q.name: q.value(a) for q in invariant_fns}
-
-    schedule = StepSchedule(t_final=t_final, dt=dt)
+    Batch-transparent: a ``(2 N,)`` state is one run and a ``(B, 2 N)`` stack
+    advances ``B`` runs together, with the outputs of :func:`_run_output`.  A
+    single run carries no batch axis because a leading axis of one is slower:
+    the correction would treat its gradients as per-member ones and skip the
+    Python-float solve of one small system.
+    """
     traj = integrate(
-        rhs,
-        values0,
-        schedule,
-        stepper=step_rk4,
-        observers=(invariant_observer,),
-        observe_every=snapshot_cadence,
-    )
-    snapshots = np.stack([basis.reconstruct_state(s) for s in traj.states])
-    series = SnapshotSeries(traj.times, snapshots, basis.length)
-    mass = np.array([d["mass"] for d in traj.diagnostics])
-    energy = np.array([d["energy"] for d in traj.diagnostics])
-    diagnostics = {
-        "mass": mass,
-        "energy": energy,
-        "mass_drift": relative_drift(mass),
-        "energy_drift": relative_drift(energy),
-        "states": traj.states,
-        "dt": dt,
-        "n_steps": len(traj.dt_history),
-    }
-    return series, diagnostics
-
-
-# ---------------------------------------------------------------------------
-# Batched engines: many seeds advanced as one stacked state.
-#
-# On a single core these replace process fan-out for ensembles.  A single DNS
-# run is a batch of one; the reduced models evaluate the same batch-transparent
-# operators as :func:`rom_run` (last-axis layout, the same constraint kernel
-# with member-wise degeneracy masking and least-squares fallback), so results
-# match it to round-off.
-
-
-def dns_run_batch(
-    ics: Sequence[SpectralField],
-    t_final: float,
-    snapshot_cadence: float,
-    dt: float | None = None,
-) -> tuple[list[SnapshotSeries], dict]:
-    """Advance many DNS runs together; returns one series per member."""
-    if not ics:
-        raise ValidationError("need at least one initial condition")
-    length = ics[0].length
-    n = ics[0].n_modes
-    for ic in ics:
-        if ic.length != length or ic.n_modes != n:
-            raise DimensionError("batched runs need identical domains")
-    if dt is None:
-        dt = stable_dt(n, length)
-    specs = np.stack([ic.coefficients for ic in ics])
-
-    schedule = StepSchedule(t_final=t_final, dt=dt)
-    traj = integrate(
-        lambda s: _rhs_spectrum(s, length),
-        specs,
-        schedule,
+        lambda a: rom_rhs(a, basis, quantities),
+        core.state_values(a0),
+        StepSchedule(t_final=t_final, dt=dt),
         stepper=step_rk4,
         observe_every=snapshot_cadence,
     )
-    stacked = np.stack(traj.states)                      # (T, B, n)
-    fields = np.fft.ifft(stacked, axis=-1)
-    series = [
-        SnapshotSeries(traj.times, fields[:, b], length) for b in range(len(ics))
-    ]
-    mass, energy = field_invariants(fields, length)
-    diagnostics = {
-        "mass": mass,
-        "energy": energy,
-        "mass_drift": np.array([relative_drift(m) for m in mass.T]),
-        "energy_drift": np.array([relative_drift(e) for e in energy.T]),
-        "dt": dt,
-        "n_steps": len(traj.dt_history),
-    }
-    return series, diagnostics
+    fields = basis.reconstruct_state(np.stack(traj.states))
+    return _run_output(traj, fields, basis.length, dt)
 
 
 def rom_run_batch(
@@ -659,38 +615,10 @@ def rom_run_batch(
     dt: float,
     enforce: bool = False,
 ) -> tuple[list[SnapshotSeries], dict]:
-    """Advance many reduced models together (plain or invariant-constrained).
-
-    ``a0_batch`` is (n_runs, 2 N) stacked real amplitudes.  Each step
-    evaluates :func:`rom_rhs` on the whole batch; with ``enforce`` that is
-    the mass- and energy-constrained model of :func:`rom_quantities`, with
-    one Lagrange solve per member.
-    """
-    a0_batch = np.atleast_2d(np.asarray(a0_batch, dtype=float))
-    length = basis.length
-    quantities = rom_quantities(basis) if enforce else ()
-
-    def rhs(A):
-        return rom_rhs(A, basis, quantities)
-
-    schedule = StepSchedule(t_final=t_final, dt=dt)
-    traj = integrate(rhs, a0_batch, schedule, stepper=step_rk4,
-                     observe_every=snapshot_cadence)
-    fields = basis.reconstruct_state(np.stack(traj.states))   # (T, B, n)
-    series = [
-        SnapshotSeries(traj.times, fields[:, b], length)
-        for b in range(a0_batch.shape[0])
-    ]
-    mass, energy = field_invariants(fields, length)
-    diagnostics = {
-        "mass": mass,
-        "energy": energy,
-        "mass_drift": np.array([relative_drift(m) for m in mass.T]),
-        "energy_drift": np.array([relative_drift(e) for e in energy.T]),
-        "dt": dt,
-        "n_steps": len(traj.dt_history),
-    }
-    return series, diagnostics
+    """:func:`rom_run` on ``(n_runs, 2 N)`` stacked real amplitudes, plain or,
+    with ``enforce``, keeping the mass and energy of :func:`rom_quantities`."""
+    return rom_run(np.atleast_2d(np.asarray(a0_batch, dtype=float)), basis, t_final,
+                   snapshot_cadence, dt, quantities=rom_quantities(basis) if enforce else ())
 
 
 # ---------------------------------------------------------------------------

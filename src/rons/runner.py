@@ -1,11 +1,13 @@
 """Experiment execution: single runs, seeded ensembles, and output files.
 
-Single runs integrate one trajectory with invariant logging and snapshot
-capture.  Ensembles advance all seeds together through the batched engines
-(seed-deterministic; on a numerical failure the runner falls back to a
-per-seed loop so surviving seeds are preserved alongside a failed-seed
-manifest).  Outputs are plain data files; everything except telemetry is
-bitwise reproducible for a fixed config, seed, and build.
+Each model has one integration path.  A single run's state carries no
+batch axis; an ensemble stacks its seeds along a leading one and advances
+them together (seed-deterministic; on a numerical failure a shallow-water
+ensemble falls back to a per-seed loop so surviving seeds are preserved
+alongside a failed-seed manifest).  Single runs keep invariant histories and
+snapshots, ensembles pooled samples.  Outputs are plain data files;
+everything except telemetry is bitwise reproducible for a fixed config,
+seed, and build.
 """
 
 from __future__ import annotations
@@ -50,10 +52,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if config.seeds is not None:
-            record = _dispatch_ensemble(config)
-        else:
-            record = _dispatch_single(config, config.seed)
+        record = (_swe if config.model == "swe" else _nls)(config)
     record.warnings.extend(
         {"category": type(w.message).__name__, "message": str(w.message)}
         for w in caught
@@ -63,31 +62,20 @@ def run_experiment(config: RunConfig) -> RunRecord:
     return record
 
 
-def _dispatch_single(config: RunConfig, seed: int) -> RunRecord:
-    if config.model == "swe":
-        return _swe_single(config, seed)
-    if config.model == "nls-dns":
-        return _nls_dns_single(config, seed)
-    return _nls_rom_single(config, seed)
-
-
-def _dispatch_ensemble(config: RunConfig) -> RunRecord:
-    if config.model == "swe":
-        return _swe_ensemble(config)
-    return _nls_ensemble(config)
-
-
 # ---------------------------------------------------------------------------
 # Shallow water
 
 
-def _swe_setup(config: RunConfig):
+def _swe(config: RunConfig) -> RunRecord:
     swe_cfg = swe.SweConfig(limiter_theta=config.theta, cfl_factor=config.cfl_factor)
     grid = fv.build_grid(config.length, config.cells)
     scheme = swe.central_upwind_scheme(swe_cfg)
     quantities = swe.swe_quantities(grid, swe_cfg)
     enforced = tuple(q for q in quantities if q.name in config.enforce)
-    return swe_cfg, grid, scheme, quantities, enforced
+    if config.seeds is None:
+        U0 = _swe_initial_state(config, config.seed, grid, swe_cfg)
+        return _swe_single(config, U0, grid, scheme, quantities, enforced)
+    return _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced)
 
 
 def _swe_initial_state(config: RunConfig, seed: int, grid, swe_cfg):
@@ -100,16 +88,23 @@ def _swe_initial_state(config: RunConfig, seed: int, grid, swe_cfg):
     raise ConfigError(f"unknown swe initial condition {config.swe_ic!r}")
 
 
-def _swe_single(config: RunConfig, seed: int) -> RunRecord:
-    swe_cfg, grid, scheme, quantities, enforced = _swe_setup(config)
-    U0 = _swe_initial_state(config, seed, grid, swe_cfg)
-    metric = fv.fv_metric(grid, 2)
-
+def _swe_integrate(config, U0, grid, scheme, enforced, observer, observe_every, **kwargs):
+    """Advance a ``(2, n)`` state or a ``(B, 2, n)`` ensemble with the
+    configured right-hand side, stepper and step rule."""
     if enforced:
+        metric = fv.fv_metric(grid, 2)
         rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, enforced, metric=metric)
     else:
-        rhs = lambda U: fv.fv_rhs(U, scheme, grid)
+        rhs = lambda U: scheme.rhs(U, grid)   # every stepper stage checks finiteness
+    if config.dt is not None:
+        schedule = StepSchedule(t_final=config.horizon, dt=config.dt)
+    else:
+        schedule = StepSchedule(t_final=config.horizon, cfl=lambda U: scheme.cfl_dt(U, grid))
+    return integrate(rhs, U0, schedule, stepper=_STEPPERS[config.stepper],
+                     observers=(observer,), observe_every=observe_every, **kwargs)
 
+
+def _swe_single(config, U0, grid, scheme, quantities, enforced) -> RunRecord:
     widths = grid.widths
 
     def observer(t, U):
@@ -121,20 +116,12 @@ def _swe_single(config: RunConfig, seed: int) -> RunRecord:
         out["_l1_velocity"] = float(np.dot(widths, np.abs(U[1])))
         return out
 
-    if config.dt is not None:
-        schedule = StepSchedule(t_final=config.horizon, dt=config.dt)
-    else:
-        schedule = StepSchedule(t_final=config.horizon, cfl=lambda U: scheme.cfl_dt(U, grid))
     checkpoints = tuple(t for t in config.snapshot_times if 0.0 < t < config.horizon)
-    traj = integrate(
-        rhs, U0, schedule,
-        stepper=_STEPPERS[config.stepper],
-        observers=(observer,),
-        observe_every=config.cadence,
-        checkpoints=checkpoints,
-    )
+    traj = _swe_integrate(config, U0, grid, scheme, enforced, observer, config.cadence,
+                          checkpoints=checkpoints)
 
-    record = RunRecord(config=_echo(config), seed=seed, times=traj.times, grid_x=grid.centers)
+    record = RunRecord(config=_echo(config), seed=config.seed, times=traj.times,
+                       grid_x=grid.centers)
     for q in quantities:
         record.invariants[q.name] = np.array([d[q.name] for d in traj.diagnostics])
     wanted = [t for t in config.snapshot_times if t <= config.horizon + 1e-12]
@@ -177,10 +164,8 @@ def _swe_single(config: RunConfig, seed: int) -> RunRecord:
     return record
 
 
-def _swe_ensemble(config: RunConfig) -> RunRecord:
-    swe_cfg, grid, scheme, quantities, enforced = _swe_setup(config)
+def _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced) -> RunRecord:
     record = RunRecord(config=_echo(config), grid_x=grid.centers)
-
     states, good_seeds = [], []
     for seed in config.seeds:
         try:
@@ -242,11 +227,6 @@ def _swe_ensemble(config: RunConfig) -> RunRecord:
 
 def _swe_ensemble_batched(config, batch, grid, scheme, quantities, enforced):
     """Advance a stacked ensemble, sampling max elevation in the window."""
-    if enforced:
-        metric = fv.fv_metric(grid, 2)
-        rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, enforced, metric=metric)
-    else:
-        rhs = lambda U: scheme.rhs(U, grid)
     energy = next(q for q in quantities if q.name == "total_energy")
 
     def sampler(t, U):
@@ -255,17 +235,8 @@ def _swe_ensemble_batched(config, batch, grid, scheme, quantities, enforced):
             "total_energy": energy.value(U.reshape(U.shape[:-2] + (-1,))),
         }
 
-    if config.dt is not None:
-        schedule = StepSchedule(t_final=config.horizon, dt=config.dt)
-    else:
-        schedule = StepSchedule(t_final=config.horizon, cfl=lambda U: scheme.cfl_dt(U, grid))
-    traj = integrate(
-        rhs, batch, schedule,
-        stepper=_STEPPERS[config.stepper],
-        observers=(sampler,),
-        observe_every=config.sample_cadence,
-        store_states=False,
-    )
+    traj = _swe_integrate(config, batch, grid, scheme, enforced, sampler,
+                          config.sample_cadence, store_states=False)
     lo, hi = config.sample_window
     keep = [i for i, t in enumerate(traj.times) if lo - 1e-9 <= t <= hi + 1e-9]
     samples = np.stack([traj.diagnostics[i]["max_elevation"] for i in keep], axis=-1)
@@ -278,20 +249,69 @@ def _swe_ensemble_batched(config, batch, grid, scheme, quantities, enforced):
 # Nonlinear Schrodinger
 
 
-def _nls_dns_single(config: RunConfig, seed: int) -> RunRecord:
-    ic = nls.nls_random_ic(seed, config.length, config.modes)
-    series, diag = nls.dns_run(ic, config.horizon, config.snapshot_cadence, dt=config.dt)
-    record = RunRecord(config=_echo(config), seed=seed, times=series.times)
-    record.invariants = {"mass": diag["mass"], "energy": diag["energy"]}
-    record.snapshot_series = series
-    record.metrics = {
-        "scheme": "spectral",
-        "mass_drift": diag["mass_drift"],
-        "energy_drift": diag["energy_drift"],
-        "n_steps": diag["n_steps"],
-        "dt": diag["dt"],
-    }
+def _nls(config: RunConfig) -> RunRecord:
+    """A DNS or reduced-model run of one seed, or of a seed ensemble."""
+    single = config.seeds is None
+    seeds = (config.seed,) if single else config.seeds
+    if config.model == "nls-dns":
+        ics = [nls.nls_random_ic(s, config.length, config.modes) for s in seeds]
+        if single:
+            series, diag = nls.dns_run(ics[0], config.horizon, config.snapshot_cadence,
+                                       dt=config.dt)
+        else:
+            series, diag = nls.dns_run_batch(ics, config.horizon, config.snapshot_cadence,
+                                             dt=config.dt)
+        extra = {}
+    else:
+        basis = _rom_basis(config)
+        a0 = np.stack([_rom_initial_state(config, s, basis) for s in seeds])
+        quantities = nls.rom_quantities(basis) if config.scheme == "g-rons" else ()
+        series, diag = nls.rom_run(
+            a0[0] if single else a0, basis, config.horizon, config.snapshot_cadence,
+            config.dt if config.dt is not None else 1.0 / 32, quantities=quantities,
+        )
+        extra = {
+            "rom_modes": basis.n_modes,
+            "truth_note": (
+                "error metrics compare against a DNS started from the reconstructed "
+                "reduced state; see the metrics command"
+            ),
+        }
+    record = RunRecord(config=_echo(config))
     record.telemetry["n_steps"] = diag["n_steps"]
+    if single:
+        record.seed, record.times = config.seed, series.times
+        record.invariants = {"mass": diag["mass"], "energy": diag["energy"]}
+        record.snapshot_series = series
+        record.metrics = {
+            "scheme": config.scheme,
+            "mass_drift": diag["mass_drift"],
+            "energy_drift": diag["energy_drift"],
+            "n_steps": diag["n_steps"],
+            "dt": diag["dt"],
+            **extra,
+        }
+        return record
+    lo, hi = config.sample_window
+    pooled = []
+    for member, (seed, member_series) in enumerate(zip(seeds, series)):
+        peaks = nls.max_envelope(member_series.window(lo, hi))
+        pooled.append(peaks)
+        record.seed_records.append({
+            "seed": seed,
+            "n_samples": int(peaks.size),
+            "max_envelope_mean": float(np.mean(peaks)),
+            "mass_drift": float(diag["mass_drift"][member]),
+            "energy_drift": float(diag["energy_drift"][member]),
+        })
+    pooled = np.concatenate(pooled)
+    record.histogram = nls.max_envelope_pdf(pooled, config.bins)
+    record.metrics = {
+        "scheme": config.scheme,
+        "n_seeds": len(seeds),
+        "max_envelope_mean": float(np.mean(pooled)),
+        "n_steps": diag["n_steps"],
+    }
     return record
 
 
@@ -310,76 +330,6 @@ def _rom_initial_state(config: RunConfig, seed: int, basis) -> np.ndarray:
         return nls.project_ic(ic, basis).values
     state = nls.random_rom_ic(seed, basis)
     return state.values * config.ic_amplitude
-
-
-def _nls_rom_single(config: RunConfig, seed: int) -> RunRecord:
-    basis = _rom_basis(config)
-    a0 = _rom_initial_state(config, seed, basis)
-    quantities = nls.rom_quantities(basis) if config.scheme == "g-rons" else ()
-    dt = config.dt if config.dt is not None else 1.0 / 32
-    series, diag = nls.rom_run(
-        a0, basis, config.horizon, config.snapshot_cadence, dt, quantities=quantities
-    )
-    record = RunRecord(config=_echo(config), seed=seed, times=series.times)
-    record.invariants = {"mass": diag["mass"], "energy": diag["energy"]}
-    record.snapshot_series = series
-    record.metrics = {
-        "scheme": config.scheme,
-        "mass_drift": diag["mass_drift"],
-        "energy_drift": diag["energy_drift"],
-        "n_steps": diag["n_steps"],
-        "dt": dt,
-        "rom_modes": basis.n_modes,
-        "truth_note": (
-            "error metrics compare against a DNS started from the reconstructed "
-            "reduced state; see the metrics command"
-        ),
-    }
-    record.telemetry["n_steps"] = diag["n_steps"]
-    return record
-
-
-def _nls_ensemble(config: RunConfig) -> RunRecord:
-    record = RunRecord(config=_echo(config))
-    if config.model == "nls-dns":
-        ics = [nls.nls_random_ic(s, config.length, config.modes) for s in config.seeds]
-        series_list, diag = nls.dns_run_batch(
-            ics, config.horizon, config.snapshot_cadence, dt=config.dt
-        )
-    else:
-        basis = _rom_basis(config)
-        a0s = np.stack([
-            _rom_initial_state(config, s, basis) for s in config.seeds
-        ])
-        dt = config.dt if config.dt is not None else 1.0 / 32
-        series_list, diag = nls.rom_run_batch(
-            a0s, basis, config.horizon, config.snapshot_cadence, dt,
-            enforce=config.scheme == "g-rons",
-        )
-    lo, hi = config.sample_window
-    pooled = []
-    for member, (seed, series) in enumerate(zip(config.seeds, series_list)):
-        windowed = series.window(lo, hi)
-        peaks = nls.max_envelope(windowed)
-        pooled.append(peaks)
-        record.seed_records.append({
-            "seed": seed,
-            "n_samples": int(peaks.size),
-            "max_envelope_mean": float(np.mean(peaks)),
-            "mass_drift": float(diag["mass_drift"][member]),
-            "energy_drift": float(diag["energy_drift"][member]),
-        })
-    pooled = np.concatenate(pooled)
-    edges, density = nls.max_envelope_pdf(pooled, config.bins)
-    record.histogram = (edges, density)
-    record.metrics = {
-        "scheme": config.scheme,
-        "n_seeds": len(config.seeds),
-        "max_envelope_mean": float(np.mean(pooled)),
-        "n_steps": diag["n_steps"],
-    }
-    record.telemetry["n_steps"] = diag["n_steps"]
-    return record
 
 
 # ---------------------------------------------------------------------------

@@ -308,15 +308,6 @@ def swe_quantities(grid: FvGrid, config: SweConfig) -> tuple[core.ConservedQuant
     )
 
 
-def swe_invariants(U: np.ndarray, grid: FvGrid, config: SweConfig):
-    """Values and gradients of the three conserved functionals at ``U``."""
-    flat = np.asarray(U, dtype=float).reshape(-1)
-    quantities = swe_quantities(grid, config)
-    values = np.array([q.value(flat) for q in quantities])
-    gradients = [np.asarray(q.gradient(flat)) for q in quantities]
-    return values, gradients
-
-
 # ---------------------------------------------------------------------------
 # Benchmark initial conditions
 

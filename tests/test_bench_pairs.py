@@ -86,3 +86,24 @@ def test_collect_summarises_metrics_every_run_reported():
     out = bench_pairs.collect(records, {"rons.member_steps_per_s": "higher"})
     assert list(out) == ["rons.member_steps_per_s"]
     assert out["rons.member_steps_per_s"]["change_wins"] == "2/2"
+
+
+def test_runs_pin_the_hash_seed_to_the_pair_seed(monkeypatch, tmp_path):
+    # the hash seed moves the heap layout, so both sides of a pair get the
+    # pair's perfbench seed and the pair can be re-run exactly
+    calls = []
+
+    def fake_run(args, **kwargs):
+        calls.append((args, kwargs))
+        record = {"correct": True, "metrics": {}}
+        return bench_pairs.subprocess.CompletedProcess(args, 0, "log\n" + json.dumps(record), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONHASHSEED", "0")
+    record = bench_pairs.run_perfbench(tmp_path, "nls-rom", 17, 5.0, 0)
+    assert record == {"correct": True, "metrics": {}, "ok": True}
+    (args, kwargs), = calls
+    assert args[1:] == ["perfbench/run.py", "--workload", "nls-rom", "--seed", "17",
+                        "--seconds", "5.0", "--trace", "0"]
+    assert kwargs["cwd"] == tmp_path
+    assert kwargs["env"]["PYTHONHASHSEED"] == "17"

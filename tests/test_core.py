@@ -872,13 +872,3 @@ class TestGradientChecks:
         assert core.directional_derivative(q.value, a, d) == pytest.approx(
             float(q.gradient(a) @ d), rel=1e-6
         )
-
-
-class TestProjection:
-    def test_projects_back_to_level_set(self, rng):
-        q = quadratic_quantity("q", 2.0 * np.eye(3))  # |a|^2
-        a = np.array([1.0, 0.0, 0.0])
-        target = q.value(a)
-        drifted = a + 1e-3 * rng.standard_normal(3)
-        repaired = core.project_onto_levels(drifted, [q], [target])
-        assert q.value(repaired) == pytest.approx(target, abs=1e-12)

@@ -106,8 +106,7 @@ class TestSpectralField:
 
 class TestRhs:
     def test_zero_field(self):
-        field = nls.SpectralField.from_values(np.zeros(N_GRID), LENGTH)
-        assert not nls.nls_rhs(field).values().any()
+        assert not nls.nls_rhs_values(np.zeros(N_GRID), LENGTH).any()
 
     def test_linear_multiplier_shared_and_read_only(self):
         # built once per grid; callers must not be able to corrupt the copy
@@ -119,7 +118,7 @@ class TestRhs:
         # oracle: substituting A e^{ikx} into the PDE gives the multiplier
         # -ik/2 + i k^2 / 8 - i |A|^2 / 2
         u, k = plane_wave(0.3, 5)
-        rhs = nls.nls_rhs(nls.SpectralField.from_values(u, LENGTH)).values()
+        rhs = nls.nls_rhs_values(u, LENGTH)
         expected = (-0.5j * k + 0.125j * k * k - 0.5j * 0.3**2) * u
         assert np.max(np.abs(rhs - expected)) < 1e-14
 
@@ -134,7 +133,8 @@ class TestRhs:
     def test_grid_and_spectral_paths_agree(self, rng):
         u = 0.2 * (rng.standard_normal(N_GRID) + 1j * rng.standard_normal(N_GRID))
         via_values = nls.nls_rhs_values(u, LENGTH)
-        via_spectrum = nls.nls_rhs(nls.SpectralField.from_values(u, LENGTH)).values()
+        # the grid-space entry point against the six-FFT spectral oracle
+        via_spectrum = np.fft.ifft(reference_rhs_spectrum(np.fft.fft(u), LENGTH))
         assert np.max(np.abs(via_values - via_spectrum)) < 1e-13
 
 
@@ -181,7 +181,7 @@ class TestTwoFftRhs:
     def test_odd_grid_rejected(self):
         field = nls.SpectralField.from_values(np.full(N_GRID - 1, 0.1), LENGTH)
         with pytest.raises(ValidationError):
-            nls.nls_rhs(field)
+            nls.nls_rhs_values(field.values(), LENGTH)
         with pytest.raises(ValidationError):
             nls.dns_run(field, 0.5, 0.25)
 
@@ -291,7 +291,7 @@ class TestRomInvariants:
         z = np.zeros(3, dtype=complex)
         z[1] = c * np.sqrt(LENGTH)  # ks = [-1, 0, 1] ordering puts k=0 second
         a = basis.layout.pack([z])
-        values, _ = nls.nls_invariants(a, basis)
+        values = [q.value(a) for q in nls.rom_quantities(basis)]
         assert values[0] == pytest.approx(abs(c) ** 2 * LENGTH, rel=1e-12)
         assert values[1] == pytest.approx(-0.25 * abs(c) ** 4 * LENGTH, rel=1e-12)
 
@@ -302,7 +302,7 @@ class TestRomInvariants:
         z = np.zeros(5, dtype=complex)
         z[4] = amplitude * np.sqrt(LENGTH)
         a = basis.layout.pack([z])
-        values, _ = nls.nls_invariants(a, basis)
+        values = [q.value(a) for q in nls.rom_quantities(basis)]
         assert values[0] == pytest.approx(amplitude**2 * LENGTH, rel=1e-12)
         assert values[1] == pytest.approx(
             (k**2 * amplitude**2 / 8.0 - amplitude**4 / 4.0) * LENGTH, rel=1e-12
@@ -542,13 +542,23 @@ class TestBatchedEngines:
         quantities = nls.rom_quantities(basis)
         a0s = 0.4 * rng.standard_normal((3, 8))
         for enforce in (False, True):
-            batch, _ = nls.rom_run_batch(a0s, basis, 1.0, 0.5, 1 / 32, enforce=enforce)
+            batch, diag = nls.rom_run_batch(a0s, basis, 1.0, 0.5, 1 / 32, enforce=enforce)
             for i in range(3):
-                solo, _ = nls.rom_run(
+                solo, solo_diag = nls.rom_run(
                     a0s[i], basis, 1.0, 0.5, 1 / 32,
                     quantities=quantities if enforce else (),
                 )
+                assert np.array_equal(solo.times, batch[i].times)
                 assert np.max(np.abs(solo.snapshots - batch[i].snapshots)) < 1e-12
+                for name in ("mass", "energy"):
+                    # a single run carries no batch axis, a batch one column per member
+                    assert solo_diag[name].shape == solo.times.shape
+                    assert diag[name].shape == solo.times.shape + (3,)
+                    assert np.max(np.abs(solo_diag[name] - diag[name][:, i])) < 1e-12
+                    assert type(solo_diag[f"{name}_drift"]) is float
+                    assert diag[f"{name}_drift"].shape == (3,)
+                    assert abs(solo_diag[f"{name}_drift"] - diag[f"{name}_drift"][i]) < 1e-12
+                assert (solo_diag["dt"], solo_diag["n_steps"]) == (diag["dt"], diag["n_steps"])
 
 
 class TestErrorMetrics:

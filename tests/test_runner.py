@@ -377,6 +377,75 @@ bins = 6
         assert np.sum(density * np.diff(edges)) == pytest.approx(1.0, abs=1e-12)
 
 
+def record_ndims(monkeypatch, module):
+    """The number of axes of every initial state ``module.integrate`` receives."""
+    ndims = []
+    original = module.integrate
+
+    def recording(rhs, y0, schedule, **kwargs):
+        ndims.append(np.ndim(y0))
+        return original(rhs, y0, schedule, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", recording)
+    return ndims
+
+
+class TestOneRunPath:
+    """A single run integrates its state with no batch axis; an ensemble
+    stacks its seeds along a leading one."""
+
+    @pytest.mark.parametrize("scheme", ["fv", "fv-rons"])
+    @pytest.mark.parametrize("seeds, ndim", [("", 2), ("seeds = 0..2", 3)])
+    def test_swe(self, tmp_path, monkeypatch, scheme, seeds, ndim):
+        ndims = record_ndims(monkeypatch, runner)
+        run_experiment(make_config(tmp_path, f"""
+[run]
+model = swe
+scheme = {scheme}
+{seeds}
+[space]
+cells = 64
+[time]
+horizon = 0.5
+cadence = 0.25
+[swe]
+ic = random
+snapshot_times = 0, 0.5
+[sampling]
+window = 0, 0.5
+cadence = 0.25
+"""))
+        assert ndims == [ndim]
+
+    def test_nls_rom(self, tmp_path, monkeypatch, rng):
+        length = 16 * np.pi
+        snaps = 0.1 * (rng.standard_normal((30, 64)) + 1j * rng.standard_normal((30, 64)))
+        basis = nls.compute_pod(snaps, 3, length)
+        basis_path = tmp_path / "basis.npz"
+        io.save_pod_basis(basis_path, basis)
+        a0s = 0.4 * rng.standard_normal((2, 6))
+        ndims = record_ndims(monkeypatch, nls)
+        nls.rom_run(a0s[0], basis, 0.5, 0.25, 1 / 32, quantities=nls.rom_quantities(basis))
+        nls.rom_run_batch(a0s, basis, 0.5, 0.25, 1 / 32, enforce=True)
+        run_experiment(make_config(tmp_path, f"""
+[run]
+model = nls-rom
+scheme = g-rons
+seed = 2
+[space]
+modes = 64
+length = {length!r}
+[time]
+horizon = 0.5
+cadence = 0.25
+[nls]
+basis = {basis_path}
+rom_modes = 3
+snapshot_cadence = 0.25
+"""))
+        assert ndims == [1, 2, 1]
+
+
 class TestPersistence:
     def test_snapshot_formats_roundtrip(self, tmp_path, rng):
         u = 0.1 * (rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32)))

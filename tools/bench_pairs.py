@@ -6,9 +6,10 @@
 Each revision's committed files are exported with ``git archive`` into a
 directory of its own under ``--work``, so both sides build what they run from
 their own ``src/``.  For every seed, each workload runs once per side
-(``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0|1``),
-the side that runs first alternating from seed to seed (parent first on the
-first seed).  The last line of each run's standard output is perfbench's JSON
+(``PYTHONHASHSEED=S python3 perfbench/run.py --workload W --seed S --seconds N
+--trace 0|1``), the side that runs first alternating from seed to seed (parent
+first on the first seed).  The hash seed is pinned because it moves the heap
+layout, and with it some timings, so a pair can be re-run exactly.  The last line of each run's standard output is perfbench's JSON
 record; every numeric metric in it is collected.
 
 ``BENCH_<label>.json`` gets, per workload and metric, the per-pair values of
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -100,11 +102,13 @@ def export(repo: Path, rev: str, dest: Path) -> str:
 
 
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its JSON record, with ``"ok"`` false if it failed."""
+    """One perfbench run with ``PYTHONHASHSEED`` set to ``seed``; its JSON
+    record, with ``"ok"`` false if it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONHASHSEED": str(seed)})
     lines = proc.stdout.strip().splitlines()
     try:
         record = json.loads(lines[-1])
@@ -155,7 +159,7 @@ def main(argv=None) -> int:
             json.loads((sides["change"] / "BENCHMARK.json").read_text()))
 
         result = {"label": args.label, "parent": commits["parent"], "change": commits["change"],
-                  "harness": f"python3 perfbench/run.py --workload W --seed S "
+                  "harness": f"PYTHONHASHSEED=S python3 perfbench/run.py --workload W --seed S "
                              f"--seconds {args.seconds:g} --trace {args.trace}",
                   "pairing": "one parent and one change run per seed and workload; the side "
                              "that runs first alternates from seed to seed (parent first on "
