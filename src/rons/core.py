@@ -208,7 +208,7 @@ class MetricTensor:
 
     @classmethod
     def identity(cls, n: int) -> "MetricTensor":
-        return cls("diagonal", diag=np.ones(n))
+        return cls.from_diagonal(np.ones(n))
 
     @classmethod
     def from_diagonal(cls, diag) -> "MetricTensor":
@@ -289,6 +289,7 @@ def assemble_metric(inner_products) -> MetricTensor:
     off = m - np.diag(diag)
     if np.max(np.abs(off), initial=0.0) <= _DIAGONAL_RTOL * np.max(diag, initial=0.0):
         return MetricTensor.from_diagonal(diag)
+    m.setflags(write=False)  # the cached Cholesky factor stays valid
     return MetricTensor("dense", dense=m)
 
 
@@ -297,9 +298,10 @@ def assemble_block_metric(blocks: Sequence) -> MetricTensor:
 
     Accepts :class:`MetricTensor` blocks or raw pairing matrices.  Component
     boundaries are recorded so systems of PDEs keep their field offsets.
-    Diagonal blocks merge into one diagonal metric, a lone block is returned
-    as it is, and any other mix becomes one metric of the block-diagonal
-    matrix.
+    Diagonal blocks merge into one diagonal metric, a lone block becomes a
+    new metric of its kind sharing its read-only arrays (the caller's block
+    is left as it was), and any other mix becomes one metric of the
+    block-diagonal matrix.
     """
     if not blocks:
         raise ValidationError("block metric needs at least one block")
@@ -307,7 +309,8 @@ def assemble_block_metric(blocks: Sequence) -> MetricTensor:
         b if isinstance(b, MetricTensor) else assemble_metric(b) for b in blocks
     ]
     if len(tensors) == 1:
-        merged = tensors[0]
+        lone = tensors[0]
+        merged = MetricTensor(lone.kind, dense=lone._dense, diag=lone._diag)
     elif all(t.kind == "diagonal" for t in tensors):
         merged = MetricTensor.from_diagonal(np.concatenate([t._diag for t in tensors]))
     else:
@@ -384,13 +387,6 @@ def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
         backward[i] -= step
         out[i] = (fn(forward) - fn(backward)) / (2 * step)
     return out
-
-
-def directional_derivative(fn, x, direction, step: float = 1e-6) -> float:
-    """Central difference of ``fn`` along ``direction``."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    return (fn(x + step * d) - fn(x - step * d)) / (2 * step)
 
 
 # ---------------------------------------------------------------------------

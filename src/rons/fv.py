@@ -99,9 +99,10 @@ def fvrons_rhs(
     multipliers, with degenerate gradients masked member by member.  The
     constraint gradients receive the flattened ``(..., p * n)`` states.
     With an empty (or fully degenerate) constraint list the result is the
-    plain :func:`fv_rhs` output, bit for bit.
+    plain :func:`fv_rhs` output, bit for bit.  The flux comes from
+    ``scheme.rhs`` unchecked: the steppers check each new state once.
     """
-    flux = fv_rhs(U, scheme, grid)
+    flux = np.asarray(scheme.rhs(U, grid))
     if not constraints:
         return flux
     U = np.asarray(U, dtype=float)

@@ -10,9 +10,33 @@ import numpy as np
 from .errors import DivergenceError, StepCollapseError, ValidationError
 
 
-def _require_finite(stage: np.ndarray, label: str):
-    if not np.all(np.isfinite(stage)):
+def _require_finite(state: np.ndarray, label: str):
+    if not np.isfinite(state).all():
         raise DivergenceError(f"non-finite values in {label}")
+
+
+def _owned(y: np.ndarray, *derivatives: np.ndarray) -> np.ndarray:
+    """A new state-shaped array of the type ``y + c * k`` has for these ``k``."""
+    return np.empty(y.shape, np.result_type(y, *derivatives, 1.0))
+
+
+def _spare(stage: np.ndarray, derivative: np.ndarray) -> np.ndarray:
+    """``stage`` to write the next stage into, or a new array when the
+    derivative ``rhs`` returned for it shares its memory."""
+    return np.empty_like(stage) if np.may_share_memory(stage, derivative) else stage
+
+
+# The steppers write every stage input with ``out=`` into arrays they
+# allocate, in the arithmetic order of the textbook formulas, so the output
+# is bitwise the same.  They never write into an array ``rhs`` returned (it
+# may be its input or a shared constant), so a stage buffer is reused only
+# when the derivative of that stage does not share its memory.  The new
+# state is a new array, allocated after the last ``rhs`` call: a long-lived
+# array allocated between the flux evaluations of a batched step changed
+# where glibc's heap grows and trims, and a 100-member, 256-cell ensemble
+# then took about four times the page faults and ran 10% slower.  Every
+# stage derivative enters the new state with a nonzero weight, so one
+# finiteness check of that state catches a non-finite stage.
 
 
 def step_rk4(rhs, y, dt: float):
@@ -21,14 +45,28 @@ def step_rk4(rhs, y, dt: float):
         raise ValidationError("dt must be positive")
     y = np.asarray(y)
     k1 = np.asarray(rhs(y))
-    _require_finite(k1, "RK4 stage 1")
-    k2 = np.asarray(rhs(y + 0.5 * dt * k1))
-    _require_finite(k2, "RK4 stage 2")
-    k3 = np.asarray(rhs(y + 0.5 * dt * k2))
-    _require_finite(k3, "RK4 stage 3")
-    k4 = np.asarray(rhs(y + dt * k3))
-    _require_finite(k4, "RK4 stage 4")
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = _owned(y, k1)
+    np.multiply(0.5 * dt, k1, out=stage)
+    stage += y
+    k2 = np.asarray(rhs(stage))
+    # ((k1 + 2 k2) + 2 k3) + k4
+    total = _owned(y, k1, k2)
+    np.multiply(2.0, k2, out=total)
+    total += k1
+    stage = _spare(stage, k2)
+    np.multiply(0.5 * dt, k2, out=stage)
+    stage += y
+    k3 = np.asarray(rhs(stage))
+    stage = _spare(stage, k3)
+    np.multiply(2.0, k3, out=stage)
+    total += stage
+    np.multiply(dt, k3, out=stage)
+    stage += y
+    total += np.asarray(rhs(stage))
+    out = np.multiply(dt / 6.0, total)
+    out += y
+    _require_finite(out, "RK4 step")
+    return out
 
 
 def step_ssprk3(rhs, y, dt: float):
@@ -43,14 +81,26 @@ def step_ssprk3(rhs, y, dt: float):
         raise ValidationError("dt must be positive")
     y = np.asarray(y)
     f0 = np.asarray(rhs(y))
-    _require_finite(f0, "SSP-RK3 stage 1")
-    y1 = y + dt * f0
-    f1 = np.asarray(rhs(y1))
-    _require_finite(f1, "SSP-RK3 stage 2")
-    y2 = 0.75 * y + 0.25 * (y1 + dt * f1)
-    f2 = np.asarray(rhs(y2))
-    _require_finite(f2, "SSP-RK3 stage 3")
-    return y / 3.0 + (2.0 / 3.0) * (y2 + dt * f2)
+    stage = _owned(y, f0)
+    np.multiply(dt, f0, out=stage)
+    stage += y
+    f1 = np.asarray(rhs(stage))
+    part = _owned(y, f0, f1)
+    np.multiply(dt, f1, out=part)
+    part += stage
+    np.multiply(0.25, part, out=part)
+    stage = _spare(stage, f1)
+    np.multiply(0.75, y, out=stage)
+    stage += part
+    f2 = np.asarray(rhs(stage))
+    np.multiply(dt, f2, out=part)
+    part += stage
+    np.multiply(2.0 / 3.0, part, out=part)
+    out = np.empty_like(part)
+    np.divide(y, 3.0, out=out)
+    out += part
+    _require_finite(out, "SSP-RK3 step")
+    return out
 
 
 @dataclass

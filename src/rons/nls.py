@@ -126,6 +126,37 @@ def _linear_multiplier(n: int, length: float) -> np.ndarray:
     return multiplier
 
 
+def _dns_rhs(shape: tuple, length: float):
+    """The envelope derivative of :func:`_rhs_spectrum` for spectra of one
+    ``(..., n)`` shape, as a closure that owns its buffers.
+
+    The closure holds the 3/2 grid's spectrum, whose zero middle is written
+    once, and one complex work array that both FFTs write into.  Each
+    evaluation copies the two retained halves into the padded spectrum,
+    cubes in place and returns a new array, with the per-element arithmetic
+    of the out-of-place evaluation, so the result is bitwise the same.
+    """
+    padded = _padded_spectrum(np.zeros(shape, dtype=complex))
+    work = np.empty_like(padded)
+    n = shape[-1]
+    half = n // 2
+    multiplier = _linear_multiplier(n, length)
+
+    def rhs(spec: np.ndarray) -> np.ndarray:
+        padded[..., : half + 1] = spec[..., : half + 1]
+        padded[..., 2 * half + 1:] = spec[..., half + 1:]
+        np.fft.ifft(padded, axis=-1, out=work)
+        np.multiply(work, work.real * work.real + work.imag * work.imag, out=work)
+        np.fft.fft(work, axis=-1, out=work)
+        np.multiply(1.125j, work, out=work)
+        out = multiplier * spec
+        out[..., : half + 1] -= work[..., : half + 1]
+        out[..., half + 1:] -= work[..., 2 * half + 1:]
+        return out
+
+    return rhs
+
+
 def _rhs_spectrum(spec: np.ndarray, length: float) -> np.ndarray:
     """Spectral-space envelope derivative; batch-transparent over leading axes.
 
@@ -133,17 +164,10 @@ def _rhs_spectrum(spec: np.ndarray, length: float) -> np.ndarray:
     there from one inverse FFT, and one forward FFT brings it back to be
     truncated to the ``n`` retained modes.  The interpolation factor ``3/2``
     enters the cubic three times and the truncation ``2/3`` once, so they
-    fold with ``-i/2`` into the one scalar ``-i/2 (3/2)^2``.
+    fold with ``-i/2`` into the one scalar ``-i/2 (3/2)^2``.  A run holds one
+    :func:`_dns_rhs` closure instead, which reuses its buffers.
     """
-    n = spec.shape[-1]
-    fine = np.fft.ifft(_padded_spectrum(spec), axis=-1)
-    fine *= fine.real * fine.real + fine.imag * fine.imag
-    cubic = np.fft.fft(fine, axis=-1)
-    half = n // 2
-    rhs = _linear_multiplier(n, length) * spec
-    rhs[..., : half + 1] -= 1.125j * cubic[..., : half + 1]
-    rhs[..., half + 1:] -= 1.125j * cubic[..., 2 * half + 1:]
-    return rhs
+    return _dns_rhs(spec.shape, length)(spec)
 
 
 def nls_rhs_values(values: np.ndarray, length: float) -> np.ndarray:
@@ -261,9 +285,10 @@ def dns_run_batch(
             raise DimensionError("batched runs need identical domains")
     if dt is None:
         dt = stable_dt(n, length)
+    spec = np.stack([ic.coefficients for ic in ics])
     traj = integrate(
-        lambda s: _rhs_spectrum(s, length),
-        np.stack([ic.coefficients for ic in ics]),
+        _dns_rhs(spec.shape, length),
+        spec,
         StepSchedule(t_final=t_final, dt=dt),
         stepper=step_rk4,
         observe_every=snapshot_cadence,

@@ -95,7 +95,7 @@ def _swe_integrate(config, U0, grid, scheme, enforced, observer, observe_every, 
         metric = fv.fv_metric(grid, 2)
         rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, enforced, metric=metric)
     else:
-        rhs = lambda U: scheme.rhs(U, grid)   # every stepper stage checks finiteness
+        rhs = lambda U: scheme.rhs(U, grid)   # every stepper checks each new state
     if config.dt is not None:
         schedule = StepSchedule(t_final=config.horizon, dt=config.dt)
     else:

@@ -107,3 +107,52 @@ def test_runs_pin_the_hash_seed_to_the_pair_seed(monkeypatch, tmp_path):
                         "--seconds", "5.0", "--trace", "0"]
     assert kwargs["cwd"] == tmp_path
     assert kwargs["env"]["PYTHONHASHSEED"] == "17"
+
+
+def fake_passes():
+    """A ``passes.json`` of two untraced passes and one traced pass."""
+    def one(index, traced, raw_plain, raw_rons):
+        return {"index": index, "traced": traced, "seconds": {"plain": 9.0, "rons": 9.0},
+                "raw_seconds": {"plain": raw_plain, "rons": raw_rons},
+                "member_steps": {"plain": 100, "rons": 50}}
+    return {"setup_seconds": [9.0, 9.0, 9.0], "raw_setup_seconds": [0.3, 0.1, 0.2],
+            "passes": [one(0, False, 0.5, 0.25), one(1, True, 0.01, 0.01),
+                       one(2, False, 0.25, 0.5)]}
+
+
+def test_raw_medians_skip_traced_passes():
+    out = bench_pairs.raw_medians(fake_passes())
+    assert out == {
+        "median_raw.setup_s": {"value": 0.2, "unit": "s"},
+        # per-pass rates 200 and 400 (plain), 200 and 100 (rons)
+        "median_raw.plain.member_steps_per_s": {"value": 300.0, "unit": "member-steps/s"},
+        "median_raw.rons.member_steps_per_s": {"value": 150.0, "unit": "member-steps/s"},
+    }
+
+
+def test_runs_add_raw_medians_from_the_side_passes_file(monkeypatch, tmp_path):
+    def fake_run(args, **kwargs):
+        # perfbench writes passes.json under the checkout it ran in
+        out = kwargs["cwd"] / "perfbench_out" / "swe-pulse"
+        out.mkdir(parents=True)
+        (out / "passes.json").write_text(json.dumps(fake_passes()))
+        record = {"correct": True, "metrics": {"setup_s": {"value": 1.0, "unit": "s"}}}
+        return bench_pairs.subprocess.CompletedProcess(args, 0, json.dumps(record), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    record = bench_pairs.run_perfbench(tmp_path, "swe-pulse", 3, 5.0, 0)
+    assert record["metrics"]["median_raw.setup_s"]["value"] == 0.2
+    assert record["metrics"]["median_raw.rons.member_steps_per_s"]["value"] == 150.0
+
+    benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text())
+    directions = bench_pairs.metric_directions(benchmark)
+    faster = {"metrics": {**record["metrics"],
+                          "median_raw.setup_s": {"value": 0.1, "unit": "s"},
+                          "median_raw.rons.member_steps_per_s": {"value": 160.0,
+                                                                 "unit": "member-steps/s"}}}
+    out = bench_pairs.collect([(record, faster)], directions)
+    assert out["median_raw.setup_s"]["better"] == "lower"
+    assert out["median_raw.setup_s"]["change_wins"] == "1/1"
+    assert out["median_raw.rons.member_steps_per_s"]["better"] == "higher"
+    assert out["median_raw.rons.member_steps_per_s"]["change_wins"] == "1/1"
+    assert out["median_raw.plain.member_steps_per_s"]["change_wins"] == "0/1"

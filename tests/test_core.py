@@ -147,6 +147,19 @@ class TestBlockMetric:
         with pytest.raises(ValidationError):
             core.assemble_block_metric([])
 
+    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    def test_lone_block_left_as_it_was(self, rng, kind):
+        block = (core.MetricTensor.from_diagonal(rng.uniform(0.5, 2.0, 4)) if kind == "diagonal"
+                 else core.assemble_metric(random_spd(rng, 4)))
+        assert block.kind == kind and block.boundaries is None
+        merged = core.assemble_block_metric([block])
+        assert merged is not block
+        assert block.boundaries is None
+        assert merged.kind == kind and merged.boundaries == (0, 4)
+        rhs = rng.standard_normal((3, 4))
+        assert np.array_equal(merged.solve(rhs), block.solve(rhs))
+        assert np.array_equal(merged.toarray(), block.toarray())
+
     def test_mixed_blocks_solve(self, rng):
         dense = random_spd(rng, 3)
         m = core.assemble_block_metric(
@@ -714,6 +727,22 @@ class TestBatchedCorrection:
                 core.apply_invariant_correction(metric, velocity[1], [constant, energy[1]])
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_nonfinite_member_passes_through(self, rng, bad, batched):
+        # a non-finite stage state reaches the stepper's check, not an error here
+        metric, velocity, (constant, energy) = self._mixed_batch(rng)
+        velocity[3, 2], energy[3, 5] = bad, bad
+        members = slice(2, None) if batched else 3
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = core.apply_invariant_correction(
+                metric, velocity[members], [constant, energy[members]])
+        if batched:
+            assert not np.isfinite(out[1]).all()
+            assert np.isfinite(out[[0, 2]]).all()
+        else:
+            assert not np.isfinite(out).all()
+
     def test_no_active_gradient_single_state_returns_velocity_bitwise(self, rng):
         metric = core.MetricTensor.from_diagonal(np.ones(self.W))
         velocity = rng.standard_normal(self.W)
@@ -855,6 +884,13 @@ class TestDropDegenerate:
             core.drop_degenerate_constraints([np.ones(2)], 0.0)
 
 
+def directional_derivative(fn, x, direction, step: float = 1e-6) -> float:
+    """Central difference of ``fn`` along ``direction``."""
+    x = np.asarray(x, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    return (fn(x + step * d) - fn(x - step * d)) / (2 * step)
+
+
 class TestGradientChecks:
     def test_quadratic_gradients_match_fd(self, rng):
         for _ in range(10):
@@ -869,6 +905,6 @@ class TestGradientChecks:
         q = quadratic_quantity("q", random_spd(rng, 5))
         a = rng.standard_normal(5)
         d = rng.standard_normal(5)
-        assert core.directional_derivative(q.value, a, d) == pytest.approx(
+        assert directional_derivative(q.value, a, d) == pytest.approx(
             float(q.gradient(a) @ d), rel=1e-6
         )

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from rons import core, fv, swe
 from rons.errors import DivergenceError, ValidationError
-from rons.integrators import StepSchedule, integrate, step_ssprk3
+from rons.integrators import StepSchedule, integrate, step_rk4, step_ssprk3
 
 
 class TestBuildGrid:
@@ -105,6 +105,48 @@ class TestFvRonsRhs:
         assert np.array_equal(
             fv.fvrons_rhs(U, scheme, grid, (zero_q,)), fv.fv_rhs(U, scheme, grid)
         )
+
+
+def failing_at_call(scheme, call, bad):
+    """``scheme`` whose flux is ``bad`` everywhere on its ``call``-th evaluation."""
+    calls = []
+
+    def rhs(U, grid):
+        calls.append(1)
+        out = scheme.rhs(U, grid)
+        return np.full_like(out, bad) if len(calls) == call else out
+
+    return fv.FluxScheme(rhs=rhs, cfl_dt=scheme.cfl_dt)
+
+
+class TestFvRonsDivergence:
+    """A non-finite stage derivative surfaces once per step, from the stepper."""
+
+    def test_flux_not_checked_again(self):
+        # the steppers check each new state; fv_rhs keeps its own check
+        config, grid, scheme = _swe_setup()
+        bad = failing_at_call(scheme, 1, np.nan)
+        out = fv.fvrons_rhs(swe.gaussian_pulse_ic(grid, config), bad, grid)
+        assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("members", [None, 3])
+    @pytest.mark.parametrize("stepper, stages", [(step_rk4, 4), (step_ssprk3, 3)])
+    def test_nonfinite_stage_two_raises_divergence_with_time(self, bad, members, stepper,
+                                                              stages):
+        config, grid, scheme = _swe_setup()
+        quantities = swe.swe_quantities(grid, config)
+        metric = fv.fv_metric(grid, 2)
+        U0 = swe.random_oscillatory_ic(3, grid, config)
+        if members:
+            U0 = np.stack([swe.random_oscillatory_ic(s, grid, config) for s in range(members)])
+        # the first step is clean; the second step's second stage is not
+        bad_scheme = failing_at_call(scheme, stages + 2, bad)
+        rhs = lambda U: fv.fvrons_rhs(U, bad_scheme, grid, quantities, metric=metric)
+        with pytest.raises(DivergenceError, match="step at t=") as info:
+            with np.errstate(invalid="ignore", over="ignore"):
+                integrate(rhs, U0, StepSchedule(t_final=1.0, dt=0.01), stepper=stepper)
+        assert info.value.time == pytest.approx(0.01)
 
 
 class TestStateIntegral:

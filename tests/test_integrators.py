@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from rons import nls
 from rons.errors import DivergenceError, StepCollapseError, ValidationError
 from rons.integrators import (
     StepSchedule,
@@ -14,6 +17,140 @@ from rons.integrators import (
 
 def decay(y):
     return -y
+
+
+def reference_rk4(rhs, y, dt):
+    """Oracle: the out-of-place RK4 step, one fresh array per operation."""
+    y = np.asarray(y)
+    k1 = np.asarray(rhs(y))
+    k2 = np.asarray(rhs(y + 0.5 * dt * k1))
+    k3 = np.asarray(rhs(y + 0.5 * dt * k2))
+    k4 = np.asarray(rhs(y + dt * k3))
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_ssprk3(rhs, y, dt):
+    """Oracle: the out-of-place Shu-Osher SSP-RK3 step."""
+    y = np.asarray(y)
+    f0 = np.asarray(rhs(y))
+    y1 = y + dt * f0
+    f1 = np.asarray(rhs(y1))
+    y2 = 0.75 * y + 0.25 * (y1 + dt * f1)
+    f2 = np.asarray(rhs(y2))
+    return y / 3.0 + (2.0 / 3.0) * (y2 + dt * f2)
+
+
+STEPPERS = [(step_rk4, reference_rk4), (step_ssprk3, reference_ssprk3)]
+
+
+def make_rhs(kind, y):
+    """A right-hand side of one kind for states like ``y``: linear, cubic,
+    one that returns its input, or one that returns a shared read-only array."""
+    y = np.asarray(y)
+    if kind == "linear":
+        rate = -0.7 + 0.3j if np.iscomplexobj(y) else -0.7
+        return lambda v: rate * v
+    if kind == "cubic":
+        return lambda v: 0.5 * v - v * v * v
+    if kind == "identity":
+        return lambda v: v
+    shared = np.full(y.shape, 0.25 - 0.5j if np.iscomplexobj(y) else 0.25)
+    shared.setflags(write=False)
+    return lambda v: shared
+
+
+def recording(rhs):
+    """``rhs`` that keeps every array it returned, beside a copy taken then."""
+    returned = []
+
+    def wrapped(v):
+        out = rhs(v)
+        returned.append((out, np.array(out, copy=True)))
+        return out
+
+    return wrapped, returned
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def stepper_cases(draw):
+    """A state of one of several shapes, real or complex, a right-hand-side
+    kind and a step size."""
+    shape = draw(st.sampled_from([(), (3,), (2, 5), (4, 2, 7)]))
+    parts = draw(hnp.arrays(float, (2,) + shape, elements=st.floats(-2.0, 2.0)))
+    y = parts[0] + 1j * parts[1] if draw(st.booleans()) else parts[0]
+    kind = draw(st.sampled_from(["linear", "cubic", "identity", "shared"]))
+    return y, kind, draw(st.floats(1e-3, 0.5))
+
+
+class TestInPlaceSteppers:
+    """The steppers against their out-of-place oracles, and what they may write."""
+
+    @pytest.mark.parametrize("stepper, reference", STEPPERS)
+    @given(case=stepper_cases())
+    def test_bitwise_equal_and_write_only_their_own_arrays(self, stepper, reference, case):
+        y, kind, dt = case
+        y_before = y.copy()
+        rhs, returned = recording(make_rhs(kind, y))
+        first = stepper(rhs, y, dt)
+        assert_bitwise(first, reference(make_rhs(kind, y), y, dt))
+        assert_bitwise(y, y_before)
+        assert not np.may_share_memory(first, y)
+
+        first_before = np.array(first, copy=True)
+        second = stepper(rhs, first, dt)
+        assert_bitwise(second, reference(make_rhs(kind, y), first_before, dt))
+        assert_bitwise(first, first_before)
+        assert not np.may_share_memory(second, first)
+        assert not np.may_share_memory(second, y)
+        for out, copy in returned:
+            assert_bitwise(out, copy)
+
+    @pytest.mark.parametrize("stepper, reference", STEPPERS)
+    @pytest.mark.parametrize("kind", ["linear", "identity"])
+    def test_integer_state_promoted(self, stepper, reference, kind):
+        y = np.arange(6).reshape(2, 3)
+        out = stepper(make_rhs(kind, y), y, 0.1)
+        assert out.dtype == np.float64
+        assert_bitwise(out, reference(make_rhs(kind, y), y, 0.1))
+        assert y.dtype.kind == "i" and np.array_equal(y, np.arange(6).reshape(2, 3))
+
+    @pytest.mark.parametrize("stepper, label", [(step_rk4, "RK4"), (step_ssprk3, "SSP-RK3")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_later_stage_reaches_the_one_check(self, stepper, label, bad):
+        calls = []
+
+        def rhs(v):
+            calls.append(1)
+            return np.full_like(v, bad) if len(calls) == 2 else -v
+
+        with pytest.raises(DivergenceError, match=f"{label} step"):
+            with np.errstate(invalid="ignore"):
+                stepper(rhs, np.array([1.0, 2.0]), 0.1)
+
+    def test_dns_run_batch_matches_reference_rk4_on_stateless_rhs(self):
+        # the run's closure reuses its buffers from one evaluation to the next;
+        # the reference evaluates with fresh arrays every time
+        length, cadence = nls.DEFAULT_LENGTH, 0.5
+        ics = [nls.nls_random_ic(s, length, 64) for s in (3, 4)]
+        series, diag = nls.dns_run_batch(ics, 2.0, cadence)
+        spec = np.stack([ic.coefficients for ic in ics])
+        traj = integrate(lambda s: nls._rhs_spectrum(s, length), spec,
+                         StepSchedule(t_final=2.0, dt=nls.stable_dt(64, length)),
+                         stepper=reference_rk4, observe_every=cadence)
+        fields = np.fft.ifft(np.stack(traj.states), axis=-1)
+        mass, energy = nls.field_invariants(fields, length)
+        for member, run in enumerate(series):
+            assert_bitwise(run.times, traj.times)
+            assert_bitwise(run.snapshots, fields[:, member])
+        assert_bitwise(diag["mass"], mass)
+        assert_bitwise(diag["energy"], energy)
+        assert diag["n_steps"] == len(traj.dt_history)
 
 
 class TestSteppers:

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rons import core, io, nls
-from rons.errors import AlignmentError, RankError, ValidationError
+from rons.errors import AlignmentError, DivergenceError, RankError, ValidationError
 
 LENGTH = 16.0 * np.pi
 N_GRID = 64
@@ -518,6 +518,31 @@ class TestConstrainedBatch:
             rate = np.vecdot(g, out)
             assert np.all(np.abs(rate) <= 1e-10 * np.linalg.norm(g, axis=1)
                           * np.linalg.norm(out, axis=1))
+
+
+class TestReducedModelDivergence:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("members", [None, 3])
+    def test_nonfinite_stage_two_raises_divergence_with_time(self, rng, monkeypatch, bad,
+                                                              members):
+        # G-RONS: the correction passes the non-finite stage on, and the
+        # step's one check raises with the time of the step
+        basis = pod_basis_with_mean()
+        operator = basis.reduced_operator
+        calls = []
+
+        def failing(values):
+            calls.append(1)
+            out = operator(values)
+            return np.full_like(out, bad) if len(calls) == 6 else out  # step 2, stage 2
+
+        monkeypatch.setitem(basis.__dict__, "reduced_operator", failing)
+        width = 2 * basis.n_modes
+        a0 = 0.4 * rng.standard_normal((members, width) if members else width)
+        with pytest.raises(DivergenceError, match="RK4 step at t=") as info:
+            with np.errstate(invalid="ignore", over="ignore"):
+                nls.rom_run(a0, basis, 1.0, 0.5, 1 / 32, quantities=nls.rom_quantities(basis))
+        assert info.value.time == 1 / 32
 
 
 class TestBatchedEngines:

@@ -10,7 +10,13 @@ their own ``src/``.  For every seed, each workload runs once per side
 --trace 0|1``), the side that runs first alternating from seed to seed (parent
 first on the first seed).  The hash seed is pinned because it moves the heap
 layout, and with it some timings, so a pair can be re-run exactly.  The last line of each run's standard output is perfbench's JSON
-record; every numeric metric in it is collected.
+record; every numeric metric in it is collected.  After each run the side's
+``perfbench_out/<workload>/passes.json`` adds medians over the untraced
+passes in raw (not rescaled) seconds: ``median_raw.setup_s`` and
+``median_raw.<phase>.member_steps_per_s``, which count wins in the direction
+of the metric they mirror.  They are medians, not perfbench's ``raw.*``
+fastest pass of one run, and unlike the rescaled figures they do not move
+with the reference kernel's heap layout.
 
 ``BENCH_<label>.json`` gets, per workload and metric, the per-pair values of
 both sides, their medians and quartiles, the change/parent ratio of the
@@ -32,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+RAW = "median_raw."
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -87,6 +94,20 @@ def metric_directions(benchmark: dict) -> dict[str, str]:
             for key in ("end_to_end", "per_layer") for m in benchmark.get(key, ())}
 
 
+def raw_medians(passes: dict) -> dict:
+    """``median_raw.*`` metrics of one run's ``passes.json``: the median raw
+    set-up seconds and, per phase, the median over untraced passes of
+    member-steps per raw second."""
+    untraced = [p for p in passes["passes"] if not p["traced"]]
+    metrics = {RAW + "setup_s": {"value": statistics.median(passes["raw_setup_seconds"]),
+                                 "unit": "s"}}
+    for phase in untraced[0]["raw_seconds"]:
+        rate = statistics.median(p["member_steps"][phase] / p["raw_seconds"][phase]
+                                 for p in untraced)
+        metrics[f"{RAW}{phase}.member_steps_per_s"] = {"value": rate, "unit": "member-steps/s"}
+    return metrics
+
+
 def export(repo: Path, rev: str, dest: Path) -> str:
     """Write the files of ``rev`` into ``dest``; returns the full commit id."""
     commit = subprocess.run(["git", "-C", str(repo), "rev-parse", "--verify", rev + "^{commit}"],
@@ -115,15 +136,19 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     except (IndexError, json.JSONDecodeError):
         return {"ok": False, "error": (proc.stderr or proc.stdout)[-2000:]}
     record["ok"] = proc.returncode == 0 and bool(record.get("correct"))
+    passes = checkout / "perfbench_out" / workload / "passes.json"
+    if "metrics" in record and passes.is_file():
+        record["metrics"].update(raw_medians(json.loads(passes.read_text())))
     return record
 
 
 def collect(records: list[tuple[dict, dict]], directions: dict) -> dict:
-    """Summaries of every metric both sides reported in every pair."""
+    """Summaries of every metric both sides reported in every pair; a
+    ``median_raw.*`` metric takes the direction of the metric it mirrors."""
     names = set.intersection(*(set(r["metrics"]) for pair in records for r in pair))
     return {name: summarize([p["metrics"][name]["value"] for p, _ in records],
                             [c["metrics"][name]["value"] for _, c in records],
-                            directions.get(name))
+                            directions.get(name.removeprefix(RAW)))
             for name in sorted(names)}
 
 
