@@ -265,12 +265,6 @@ class MetricTensor:
         columns = rhs.reshape(-1, self.size).T
         return linalg.cho_solve((self._factor(), True), columns).T.reshape(rhs.shape)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "diagonal":
-            return self._diag * x
-        return self._dense @ x
-
 
 def assemble_metric(inner_products) -> MetricTensor:
     """Build a metric tensor from the symmetric matrix of mode pairings.
@@ -670,9 +664,10 @@ def apply_invariant_correction(
 
     The ``(w,)`` gradients -- every gradient of an unbatched call -- are
     shared by the batch: stacked once as ``G_s`` with no batch axis, they
-    come first in ``C``.  ``C_ss = (M^{-1} G_s) G_s^T`` is one small GEMM,
-    ``b_s`` and the cross block ``C_so`` are one GEMM each over the batch,
-    and the per-member block uses ``vecdot``.  The result is
+    come first in ``C``.  ``C_ss = (M^{-1} G_s) G_s^T`` is one small GEMM;
+    over a batch, ``b_s``, the cross block ``C_so`` and the per-member block
+    use row-wise ``vecdot``, so a member's result does not depend on the
+    batch it sits in (a GEMM rounds by row count).  The result is
     ``velocity - lambda_o . M^{-1} G_o - lambda_s @ M^{-1} G_s``.
     """
     velocity = np.asarray(velocity, dtype=float)
@@ -688,8 +683,11 @@ def apply_invariant_correction(
     if not own:
         if not m_s:
             return velocity
-        c, b = solved_s @ g_s.T, velocity @ g_s.T
-        if b.ndim > 1:
+        c = solved_s @ g_s.T
+        if velocity.ndim == 1:
+            b = velocity @ g_s.T
+        else:
+            b = np.vecdot(velocity[..., None, :], g_s)
             c = np.broadcast_to(c, b.shape + (m_s,))
         return velocity - solve_lagrange(c, b) @ solved_s
 
@@ -713,12 +711,12 @@ def apply_invariant_correction(
         m = m_s + len(own)
         c = np.empty(velocity.shape[:-1] + (m, m))
         b = np.empty(velocity.shape[:-1] + (m,))
-        cross = (g_o.reshape(-1, g_o.shape[-1]) @ solved_s.T).reshape(g_o.shape[:-1] + (m_s,))
+        cross = np.vecdot(g_o[..., :, None, :], solved_s)
         c[..., :m_s, :m_s] = solved_s @ g_s.T
         c[..., m_s:, :m_s] = cross
         c[..., :m_s, m_s:] = cross.swapaxes(-1, -2)
         c[..., m_s:, m_s:] = c_oo
-        b[..., :m_s] = velocity @ g_s.T
+        np.vecdot(velocity[..., None, :], g_s, out=b[..., :m_s])
         b[..., m_s:] = b_o
     if n_active < active.size:
         # zero rows and columns: solve_lagrange gives them multiplier zero
@@ -727,6 +725,7 @@ def apply_invariant_correction(
         c = np.where(keep[..., :, None] & keep[..., None, :], c, 0.0)
         b = np.where(keep, b, 0.0)
     lam = solve_lagrange(c, b)
+    spent = None
     if len(own) > 1:
         out = velocity - (lam[..., None, m_s:] @ solved_o)[..., 0, :]
     elif solved_o is g_o:
@@ -735,8 +734,10 @@ def apply_invariant_correction(
     else:
         solved_o *= lam[..., m_s:, None]
         out = velocity - solved_o[..., 0, :]
+        spent = solved_o[..., 0, :]
     if m_s:
-        out -= lam[..., :m_s] @ solved_s
+        # the shared term goes into the spent M^-1 G_o when this call owns it
+        out -= np.matmul(lam[..., :m_s], solved_s, out=spent)
     return out
 
 

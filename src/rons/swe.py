@@ -97,8 +97,19 @@ def _require_wet(*totals: np.ndarray) -> None:
         raise DryStateError("total depth eta + H must be positive")
 
 
+def _flux_workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The temporaries of one flux evaluation of ``(..., p, n)`` states: the
+    padded state, the one-sided slopes, the central and limiter buffers and
+    four per-interface ``(..., n)`` arrays."""
+    lead, n = shape[:-1], shape[-1]
+    return (np.empty(lead + (n + 2,)), np.empty(lead + (n + 1,)),
+            np.empty(shape), np.empty(shape),
+            *(np.empty(shape[:-2] + (n,)) for _ in range(4)))
+
+
 def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
-                        depth_if: np.ndarray) -> np.ndarray:
+                        depth_if: np.ndarray,
+                        workspace: tuple[np.ndarray, ...]) -> np.ndarray:
     """Flux divergence of the stacked state; batch-transparent over leading axes.
 
     One pass over a copy of ``U`` padded with one periodic ghost cell per
@@ -113,13 +124,14 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
 
     of the physical flux ``F = ((eta + H) v, v^2 / 2 + g eta)``; where the
     spread ``a+ - a-`` is below 1e-14 the flux is the mean of the two sides.
-    Every temporary is allocated here and the result is a fresh array.
+    Every temporary is written into ``workspace`` (from
+    :func:`_flux_workspace` for ``U.shape``), each buffer in full before it is
+    read, so a call that raised leaves nothing behind; the result is the one
+    fresh array.
     """
-    U = np.asarray(U, dtype=float)
-    n = U.shape[-1]
+    padded, sided, central, lo, total_l, total_r, work, a_plus = workspace
     g = config.gravity
 
-    padded = np.empty(U.shape[:-1] + (n + 2,))
     padded[..., 1:-1] = U
     padded[..., 0] = U[..., -1]
     padded[..., -1] = U[..., 0]
@@ -127,12 +139,12 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
 
     # Limited slopes; one-sided differences theta (u_{j+1} - u_j) / dx for
     # j = -1..n-1 serve as both the backward and the forward argument.
-    sided = np.subtract(padded[..., 1:], padded[..., :-1])
+    np.subtract(padded[..., 1:], padded[..., :-1], out=sided)
     sided *= config.limiter_theta
     sided /= dx
-    central = np.subtract(padded[..., 2:], padded[..., :-2])
+    np.subtract(padded[..., 2:], padded[..., :-2], out=central)
     central /= 2.0 * dx
-    lo = np.minimum(sided[..., :-1], central)
+    np.minimum(sided[..., :-1], central, out=lo)
     np.minimum(lo, sided[..., 1:], out=lo)
     hi = np.maximum(sided[..., :-1], central, out=central)
     np.maximum(hi, sided[..., 1:], out=hi)
@@ -157,10 +169,9 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
     flux_r = padded[..., 1:-1]
     eta_l, v_l = left[..., 0, :], left[..., 1, :]
     eta_r, v_r = right[..., 0, :], right[..., 1, :]
-    total_l = np.add(eta_l, depth_if)
-    total_r = np.add(eta_r, depth_if)
+    np.add(eta_l, depth_if, out=total_l)
+    np.add(eta_r, depth_if, out=total_r)
     _require_wet(total_l, total_r)
-    work = np.empty_like(total_l)
     for flux, total, eta, v in ((flux_l, total_l, eta_l, v_l),
                                 (flux_r, total_r, eta_r, v_r)):
         np.multiply(total, v, out=flux[..., 0, :])
@@ -172,7 +183,7 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
         np.sqrt(total, out=total)
     c_l, c_r = total_l, total_r
 
-    a_plus = np.add(v_l, c_l)
+    np.add(v_l, c_l, out=a_plus)
     np.add(v_r, c_r, out=work)
     np.maximum(a_plus, work, out=a_plus)
     np.maximum(a_plus, 0.0, out=a_plus)
@@ -199,8 +210,8 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
     if degenerate is not None:
         np.copyto(flux_l, mean, where=degenerate[..., None, :])
 
-    # The result is allocated last, above the temporaries freed on return,
-    # and is never a view of them: the steppers hold several at once.
+    # The result is never a view of the workspace: the steppers hold several
+    # at once.
     flux_lp[..., 0] = flux_lp[..., -1]
     out = np.subtract(flux_lp[..., :-1], flux_l)
     out /= dx
@@ -212,7 +223,11 @@ def central_upwind_scheme(config: SweConfig) -> FluxScheme:
 
     The cell width and the undisturbed depths of the last grid seen are kept
     together with that grid (not its ``id()``, which a new grid may reuse),
-    so repeated evaluations on one grid skip topography lookups.
+    so repeated evaluations on one grid skip topography lookups.  The flux
+    temporaries live in a workspace kept beside them and rebuilt only when
+    the state's shape changes, so a warm ``rhs`` allocates just its result.
+    ``rhs`` is therefore not reentrant: every run builds its own scheme, and
+    one scheme must not be called from two threads at once.
     """
     cached: list = [None, None, None, None]
 
@@ -228,9 +243,14 @@ def central_upwind_scheme(config: SweConfig) -> FluxScheme:
             )
         return cached[1], cached[2], cached[3]
 
+    flux_work: list = [None, None]
+
     def rhs(U, grid):
         dx, _, depth_if = geometry(grid)
-        return _central_upwind_rhs(U, dx, config, depth_if)
+        U = np.asarray(U, dtype=float)
+        if flux_work[0] != U.shape:
+            flux_work[:] = U.shape, _flux_workspace(U.shape)
+        return _central_upwind_rhs(U, dx, config, depth_if, flux_work[1])
 
     def cfl_dt(U, grid):
         """``dx / (cfl_factor * max(|v| + sqrt(g (eta + H))))``, or

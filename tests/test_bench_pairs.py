@@ -156,3 +156,30 @@ def test_runs_add_raw_medians_from_the_side_passes_file(monkeypatch, tmp_path):
     assert out["median_raw.rons.member_steps_per_s"]["better"] == "higher"
     assert out["median_raw.rons.member_steps_per_s"]["change_wins"] == "1/1"
     assert out["median_raw.plain.member_steps_per_s"]["change_wins"] == "0/1"
+
+
+def test_runs_count_minor_faults_per_pass(monkeypatch, tmp_path):
+    # the children's fault counter is read around the perfbench process and
+    # the difference spread over the run's three passes
+    readings = iter([1_000, 4_000])
+    calls = []
+
+    def fake_rusage(who):
+        calls.append(who)
+        return bench_pairs.resource.struct_rusage((0,) * 6 + (next(readings),) + (0,) * 9)
+
+    def fake_run(args, **kwargs):
+        assert len(calls) == 1   # read before the run
+        out = kwargs["cwd"] / "perfbench_out" / "swe-ensemble"
+        out.mkdir(parents=True)
+        (out / "passes.json").write_text(json.dumps(fake_passes()))
+        record = {"correct": True, "metrics": {}}
+        return bench_pairs.subprocess.CompletedProcess(args, 0, json.dumps(record), "")
+
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", fake_rusage)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    record = bench_pairs.run_perfbench(tmp_path, "swe-ensemble", 3, 5.0, 0)
+    assert calls == [bench_pairs.resource.RUSAGE_CHILDREN] * 2
+    assert record["metrics"]["run.minor_faults_per_pass"] == {"value": 1000.0,
+                                                              "unit": "faults"}
+    assert bench_pairs.metric_directions({})["run.minor_faults_per_pass"] == "lower"

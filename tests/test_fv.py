@@ -106,6 +106,19 @@ class TestFvRonsRhs:
             fv.fvrons_rhs(U, scheme, grid, (zero_q,)), fv.fv_rhs(U, scheme, grid)
         )
 
+    def test_member_result_does_not_depend_on_its_batch(self):
+        # the batched correction forms its products row by row, so a member
+        # gets the same bits alone, in the salvage batch of one or in chunks
+        config, grid, scheme = _swe_setup(256)
+        quantities = swe.swe_quantities(grid, config)
+        U = np.stack([swe.random_oscillatory_ic(s, grid, config) for s in range(100)])
+        U[:, 1] = 1e-6 * np.random.default_rng(5).standard_normal((100, 256))
+        whole = fv.fvrons_rhs(U, scheme, grid, quantities)
+        for size in (1, 16, 25):
+            parts = [fv.fvrons_rhs(U[i:i + size], scheme, grid, quantities)
+                     for i in range(0, 100, size)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
 
 def failing_at_call(scheme, call, bad):
     """``scheme`` whose flux is ``bad`` everywhere on its ``call``-th evaluation."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -385,6 +387,63 @@ class TestFusedKernel:
             assert_same_bits(scheme.rhs(U, grid), reference_rhs(U, grid, config))
             assert scheme.cfl_dt(U, grid) == reference_cfl_dt(U, grid, config)
             del grid
+
+
+def _waves(rng, shape, n=256):
+    """Tsunami-scale random states of shape ``shape + (2, n)``."""
+    return rng.standard_normal(shape + (2, n)) * np.array([[1e-7], [1e-6]])
+
+
+class TestFluxWorkspace:
+    """The scheme keeps its flux temporaries; each result is still fresh."""
+
+    def test_warm_call_allocates_little_beyond_its_result(self, rng):
+        # numpy reports its array buffers to tracemalloc; what remains beyond
+        # the result is numpy's fixed iterator buffers
+        grid = fv.build_grid(10.0, 256)
+        scheme = swe.central_upwind_scheme(swe.SweConfig())
+        U = _waves(rng, (100,))
+        scheme.rhs(U, grid)
+        tracemalloc.start()
+        try:
+            out = scheme.rhs(U, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * out.nbytes
+
+    def test_results_share_no_memory(self, rng):
+        config = swe.SweConfig(bottom=_bumpy)
+        grid = fv.build_grid(10.0, 256)
+        scheme = swe.central_upwind_scheme(config)
+        states = [_waves(rng, (8,)) for _ in range(3)]
+        results = [scheme.rhs(U, grid) for U in states]
+        kept = [f.copy() for f in results]
+        for i, f in enumerate(results):
+            assert_same_bits(f, kept[i])
+            assert_same_bits(f, swe.central_upwind_scheme(config).rhs(states[i], grid))
+            assert not any(np.shares_memory(f, U) for U in states)
+            assert not any(np.shares_memory(f, g) for g in results[i + 1:])
+
+    def test_shape_changes_rebuild_the_workspace(self, rng):
+        config = swe.SweConfig()
+        grid = fv.build_grid(10.0, 256)
+        scheme = swe.central_upwind_scheme(config)
+        for shape in ((5,), (1,), (), (5,), (2, 3), ()):
+            U = _waves(rng, shape)
+            assert_same_bits(scheme.rhs(U, grid),
+                             swe.central_upwind_scheme(config).rhs(U, grid))
+
+    def test_call_after_a_dry_state_is_correct(self, rng):
+        config = swe.SweConfig()
+        grid = fv.build_grid(10.0, 64)
+        scheme = swe.central_upwind_scheme(config)
+        dry = _waves(rng, (4,), 64)
+        dry[2, 0, 10:20] = -2.0 * config.mean_depth
+        with pytest.raises(DryStateError):
+            scheme.rhs(dry, grid)
+        U = _waves(rng, (4,), 64)
+        assert_same_bits(scheme.rhs(U, grid), reference_rhs(U, grid, config))
 
 
 class TestInvariants:

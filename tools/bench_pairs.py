@@ -16,7 +16,9 @@ passes in raw (not rescaled) seconds: ``median_raw.setup_s`` and
 ``median_raw.<phase>.member_steps_per_s``, which count wins in the direction
 of the metric they mirror.  They are medians, not perfbench's ``raw.*``
 fastest pass of one run, and unlike the rescaled figures they do not move
-with the reference kernel's heap layout.
+with the reference kernel's heap layout.  ``run.minor_faults_per_pass`` is the
+minor page faults of the whole perfbench process (``RUSAGE_CHILDREN`` read
+around it) over its pass count in ``passes.json``; lower is better.
 
 ``BENCH_<label>.json`` gets, per workload and metric, the per-pair values of
 both sides, their medians and quartiles, the change/parent ratio of the
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -39,6 +42,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 RAW = "median_raw."
+FAULTS = "run.minor_faults_per_pass"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -89,9 +93,12 @@ def summarize(parent: list[float], change: list[float], better: str | None) -> d
 
 
 def metric_directions(benchmark: dict) -> dict[str, str]:
-    """Metric name -> ``"lower"`` / ``"higher"`` from a ``BENCHMARK.json``."""
-    return {m["name"]: m["better"]
-            for key in ("end_to_end", "per_layer") for m in benchmark.get(key, ())}
+    """Metric name -> ``"lower"`` / ``"higher"`` from a ``BENCHMARK.json``,
+    plus this tool's own fault count."""
+    directions = {m["name"]: m["better"]
+                  for key in ("end_to_end", "per_layer") for m in benchmark.get(key, ())}
+    directions[FAULTS] = "lower"
+    return directions
 
 
 def raw_medians(passes: dict) -> dict:
@@ -125,11 +132,13 @@ def export(repo: Path, rev: str, dest: Path) -> str:
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run with ``PYTHONHASHSEED`` set to ``seed``; its JSON
     record, with ``"ok"`` false if it failed."""
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
         env={**os.environ, "PYTHONHASHSEED": str(seed)})
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     try:
         record = json.loads(lines[-1])
@@ -138,7 +147,10 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     record["ok"] = proc.returncode == 0 and bool(record.get("correct"))
     passes = checkout / "perfbench_out" / workload / "passes.json"
     if "metrics" in record and passes.is_file():
-        record["metrics"].update(raw_medians(json.loads(passes.read_text())))
+        passes = json.loads(passes.read_text())
+        record["metrics"].update(raw_medians(passes))
+        record["metrics"][FAULTS] = {"value": faults / len(passes["passes"]),
+                                     "unit": "faults"}
     return record
 
 
