@@ -145,9 +145,9 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float, trac
     except (IndexError, json.JSONDecodeError):
         return {"ok": False, "error": (proc.stderr or proc.stdout)[-2000:]}
     record["ok"] = proc.returncode == 0 and bool(record.get("correct"))
-    passes = checkout / "perfbench_out" / workload / "passes.json"
-    if "metrics" in record and passes.is_file():
-        passes = json.loads(passes.read_text())
+    path = checkout / "perfbench_out" / workload / "passes.json"
+    if "metrics" in record and path.is_file():
+        passes = json.loads(path.read_text())
         record["metrics"].update(raw_medians(passes))
         record["metrics"][FAULTS] = {"value": faults / len(passes["passes"]),
                                      "unit": "faults"}
