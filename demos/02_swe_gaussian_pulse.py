@@ -26,12 +26,11 @@ config = swe.SweConfig(cfl_factor=8.0)
 grid = fv.build_grid(10.0, CELLS)
 scheme = swe.central_upwind_scheme(config)
 quantities = swe.swe_quantities(grid, config)
-metric = fv.fv_metric(grid, 2)
 U0 = swe.gaussian_pulse_ic(grid, config)
 
 
 def run(constraints):
-    rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, constraints, metric=metric)
+    rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, constraints)
     observer = lambda t, U: {
         q.name: q.value(U.reshape(-1)) for q in quantities
     }

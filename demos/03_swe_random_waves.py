@@ -31,8 +31,7 @@ def run(constraints, cfl_factor, stepper):
     scheme = swe.central_upwind_scheme(config)
     quantities = swe.swe_quantities(grid, config)
     chosen = tuple(q for q in quantities if q.name in constraints)
-    metric = fv.fv_metric(grid, 2)
-    rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, chosen, metric=metric)
+    rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, chosen)
     observer = lambda t, U: {
         "energy": quantities[2].value(U.reshape(-1)),
         "max_eta": float(np.max(np.abs(U[0]))),

@@ -27,8 +27,6 @@ from .core import (
     assemble_metric,
     assemble_rhs,
     complexify_metric,
-    drop_degenerate_constraints,
-    evaluate_constraint_system,
     grons_rhs,
     solve_lagrange,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "assemble_metric",
     "assemble_rhs",
     "complexify_metric",
-    "drop_degenerate_constraints",
-    "evaluate_constraint_system",
     "grons_rhs",
     "solve_lagrange",
     "FluxScheme",

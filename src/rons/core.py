@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -36,7 +36,7 @@ from .errors import (
 #: to a minimum-norm least-squares solve.
 CONDITION_LIMIT = 1e12
 
-#: Default gradient-norm threshold below which a constraint is inactive.
+#: Gradient-norm threshold at or below which a constraint is inactive.
 DEGENERACY_TOL = 1e-10
 
 #: Largest Jacobi-scaled absolute row sum ``r`` at which Gershgorin's theorem
@@ -394,41 +394,22 @@ class RonsSystem:
     metric: MetricTensor
     rhs: Callable[[np.ndarray], np.ndarray]
     constraints: tuple[ConservedQuantity, ...] = ()
-    degeneracy_tol: float = DEGENERACY_TOL
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
-        if self.degeneracy_tol <= 0:
-            raise ValidationError("degeneracy tolerance must be positive")
         if len(self.constraints) > self.metric.size:
             raise ValidationError("more constraints than parameters")
 
 
-class ConstraintSystem(NamedTuple):
-    matrix: np.ndarray   # C, m x m over active constraints
-    rhs: np.ndarray      # b, length m
-    active: tuple[int, ...]
-
-
-def _is_active(gradients: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each gradient (last axis) has Euclidean norm above ``tol``.
+def _is_active(gradients: np.ndarray) -> np.ndarray:
+    """Whether each gradient (last axis) has Euclidean norm above
+    :data:`DEGENERACY_TOL`.
 
     The one degeneracy rule of the package: a gradient whose norm is at most
-    ``tol`` is inactive for that state.  Keeps states like lake-at-rest
-    (vanishing energy gradient) from making ``C`` singular.
+    the tolerance is inactive for that state.  Keeps states like
+    lake-at-rest (vanishing energy gradient) from making ``C`` singular.
     """
-    if tol <= 0:
-        raise ValidationError("degeneracy tolerance must be positive")
-    return np.vecdot(gradients, gradients) > tol * tol
-
-
-def drop_degenerate_constraints(gradients, tol: float) -> tuple[int, ...]:
-    """Indices of gradients (rows of a stack) with Euclidean norm above
-    ``tol``, in order."""
-    if not len(gradients):
-        return ()
-    active = _is_active(np.asarray(gradients, dtype=float), tol).tolist()
-    return tuple(k for k, on in enumerate(active) if on)
+    return np.vecdot(gradients, gradients) > DEGENERACY_TOL * DEGENERACY_TOL
 
 
 def _equilibrated(c: np.ndarray, b: np.ndarray):
@@ -601,55 +582,23 @@ def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (s * lam).reshape(batch + (m,))
 
 
-def _shared_block(metric: MetricTensor, gradients, tol: float):
+def _shared_block(metric: MetricTensor, gradients):
     """Stack gradients shared by the whole batch, each ``(w,)``, once.
 
-    Drops the inactive ones and applies ``M^{-1}`` once.  Returns the kept
-    indices into ``gradients``, ``G_s`` and ``M^{-1} G_s``, both ``(m_s, w)``.
+    Drops the inactive ones and applies ``M^{-1}`` once.  Returns ``G_s`` and
+    ``M^{-1} G_s``, both ``(m_s, w)``.
     """
     g = np.array(gradients, dtype=float)
-    keep = drop_degenerate_constraints(g, tol)
-    if len(keep) < len(g):
-        g = g[list(keep)]
-    return keep, g, metric.solve(g)
-
-
-def evaluate_constraint_system(
-    a, system: RonsSystem, *, check_conditioning: bool = True
-) -> ConstraintSystem:
-    """Assemble ``C`` and ``b`` for the active constraints at state ``a``.
-
-    ``C[i, j] = <grad I_i, M^{-1} grad I_j>`` and ``b[i] = <grad I_i, M^{-1} f>``,
-    assembled as :func:`apply_invariant_correction` assembles an unbatched
-    call; the inverse metric is never formed.  With ``check_conditioning``
-    the (equilibrated) conditioning of ``C`` is verified and numerically
-    dependent gradients raise :class:`ConstraintConditioningError`; the
-    time-stepping path has no such check and relies on
-    :func:`solve_lagrange`'s fallback.
-    """
-    if not system.constraints:
-        return ConstraintSystem(np.zeros((0, 0)), np.zeros(0), ())
-    a = state_values(a)
-    velocity = system.metric.solve(np.asarray(system.rhs(a), dtype=float))
-    active, g, solved = _shared_block(
-        system.metric, [q.gradient(a) for q in system.constraints], system.degeneracy_tol
-    )
-    c, b = solved @ g.T, g @ velocity
-    if check_conditioning and active:
-        cond = float(_condition_estimate(_equilibrated(c, b)[0]))
-        if not cond <= CONDITION_LIMIT:
-            raise ConstraintConditioningError(
-                f"active constraint gradients are numerically dependent "
-                f"(condition estimate {cond:.3e})"
-            )
-    return ConstraintSystem(c, b, active)
+    active = _is_active(g)
+    if not active.all():
+        g = g[active]
+    return g, metric.solve(g)
 
 
 def apply_invariant_correction(
     metric: MetricTensor,
     velocity: np.ndarray,
     gradients: Sequence[np.ndarray],
-    tol: float = DEGENERACY_TOL,
 ) -> np.ndarray:
     """Project ``velocity`` onto the tangent space of the active invariants.
 
@@ -659,8 +608,9 @@ def apply_invariant_correction(
     and each gradient is ``(..., w)`` or a constant ``(w,)``.  Returns
     ``velocity - M^{-1} G^T lambda`` with ``C lambda = b``,
     ``C = G M^{-1} G^T`` and ``b = G velocity``, member by member.  Gradients
-    with norm at most ``tol`` are masked per member (multiplier zero); with
-    no active gradient anywhere ``velocity`` comes back unchanged, bit for bit.
+    with norm at most :data:`DEGENERACY_TOL` are masked per member
+    (multiplier zero); with no active gradient anywhere ``velocity`` comes
+    back unchanged, bit for bit.
 
     The ``(w,)`` gradients -- every gradient of an unbatched call -- are
     shared by the batch: stacked once as ``G_s`` with no batch axis, they
@@ -678,7 +628,7 @@ def apply_invariant_correction(
         (shared if np.ndim(g) == 1 else own).append(g)
     m_s = 0
     if shared:
-        _, g_s, solved_s = _shared_block(metric, shared, tol)
+        g_s, solved_s = _shared_block(metric, shared)
         m_s = len(g_s)
     if not own:
         if not m_s:
@@ -699,7 +649,7 @@ def apply_invariant_correction(
         g_o = np.empty(velocity.shape[:-1] + (len(own), velocity.shape[-1]))
         for k, g in enumerate(own):
             g_o[..., k, :] = g
-    active = _is_active(g_o, tol)
+    active = _is_active(g_o)
     n_active = np.count_nonzero(active)
     if not m_s and not n_active:
         return velocity
@@ -752,9 +702,6 @@ def grons_rhs(a, system: RonsSystem) -> np.ndarray:
     a = state_values(a)
     velocity = system.metric.solve(np.asarray(system.rhs(a), dtype=float))
     return apply_invariant_correction(
-        system.metric,
-        velocity,
-        [q.gradient(a) for q in system.constraints],
-        system.degeneracy_tol,
+        system.metric, velocity, [q.gradient(a) for q in system.constraints]
     )
 

@@ -8,7 +8,7 @@ diagonal with the cell widths on the diagonal, repeated per field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,15 +19,24 @@ from .errors import DivergenceError, ValidationError
 
 @dataclass(frozen=True)
 class FvGrid:
-    """Disjoint control volumes covering ``[0, length]`` with periodic wrap."""
+    """Disjoint control volumes covering ``[0, length]`` with periodic wrap;
+    read-only copies of ``centers`` and ``widths`` keep its metrics valid."""
 
     length: float
     n_cells: int
     centers: np.ndarray
     widths: np.ndarray
-    boundary: str = "periodic"
+    _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("centers", "widths"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (self.n_cells,):
+                raise ValidationError(
+                    f"cell {name} have shape {values.shape}, expected ({self.n_cells},)"
+                )
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if np.any(self.widths <= 0):
             raise ValidationError("cell widths must be positive")
         if abs(self.widths.sum() - self.length) > 1e-12 * self.length:
@@ -79,8 +88,13 @@ def fv_rhs(U: np.ndarray, scheme: FluxScheme, grid: FvGrid) -> np.ndarray:
 
 
 def fv_metric(grid: FvGrid, n_fields: int) -> core.MetricTensor:
-    """Diagonal metric ``M_ii = |cell_i|`` on the flattened state."""
-    return core.MetricTensor.from_diagonal(np.tile(grid.widths, n_fields))
+    """Diagonal metric ``M_ii = |cell_i|`` on the flattened state, built once
+    per grid and field count and kept on the grid."""
+    metric = grid._metrics.get(n_fields)
+    if metric is None:
+        metric = core.MetricTensor.from_diagonal(np.tile(grid.widths, n_fields))
+        grid._metrics[n_fields] = metric
+    return metric
 
 
 def fvrons_rhs(
@@ -88,19 +102,17 @@ def fvrons_rhs(
     scheme: FluxScheme,
     grid: FvGrid,
     constraints: Sequence[core.ConservedQuantity] = (),
-    degeneracy_tol: float = core.DEGENERACY_TOL,
-    metric: core.MetricTensor | None = None,
 ) -> np.ndarray:
     """Finite-volume derivative corrected to conserve the given invariants.
 
-    ``dU/dt = F(U) - sum_k lambda_k M^{-1} grad I_k`` with the diagonal cell
-    metric (pass a prebuilt ``metric`` to skip reassembly in hot loops).
-    Batch-transparent: ``U`` is ``(..., p, n)`` and each member gets its own
-    multipliers, with degenerate gradients masked member by member.  The
-    constraint gradients receive the flattened ``(..., p * n)`` states.
-    With an empty (or fully degenerate) constraint list the result is the
-    plain :func:`fv_rhs` output, bit for bit.  The flux comes from
-    ``scheme.rhs`` unchecked: the steppers check each new state once.
+    ``dU/dt = F(U) - sum_k lambda_k M^{-1} grad I_k`` with the grid's
+    diagonal cell metric (:func:`fv_metric`).  Batch-transparent: ``U`` is
+    ``(..., p, n)`` and each member gets its own multipliers, with
+    degenerate gradients masked member by member.  The constraint gradients
+    receive the flattened ``(..., p * n)`` states.  With an empty (or fully
+    degenerate) constraint list the result is the plain :func:`fv_rhs`
+    output, bit for bit.  The flux comes from ``scheme.rhs`` unchecked: the
+    steppers check each new state once.
     """
     flux = np.asarray(scheme.rhs(U, grid))
     if not constraints:
@@ -108,13 +120,10 @@ def fvrons_rhs(
     U = np.asarray(U, dtype=float)
     flat_shape = U.shape[:-2] + (-1,)
     flat = U.reshape(flat_shape)
-    if metric is None:
-        metric = fv_metric(grid, U.shape[-2])
     corrected = core.apply_invariant_correction(
-        metric,
+        fv_metric(grid, U.shape[-2]),
         flux.reshape(flat_shape),
         [q.gradient(flat) for q in constraints],
-        degeneracy_tol,
     )
     return corrected.reshape(U.shape)
 
@@ -130,7 +139,8 @@ def state_integral(U: np.ndarray, grid: FvGrid, fld: int) -> float:
 def state_integral_quantity(
     grid: FvGrid, n_fields: int, fld: int, name: str | None = None
 ) -> core.ConservedQuantity:
-    """The field integral as a constraint with constant gradient ``|cell_i|``."""
+    """The field integral as a batch-transparent constraint with constant
+    gradient ``|cell_i|``."""
     if not 0 <= fld < n_fields:
         raise ValidationError("field index out of range")
     n = grid.n_cells
@@ -139,6 +149,6 @@ def state_integral_quantity(
     grad.setflags(write=False)
     return core.ConservedQuantity(
         name=name or f"field{fld}_integral",
-        value=lambda a: float(np.dot(grad, a)),
+        value=lambda a: a @ grad,
         gradient=lambda a: grad,
     )

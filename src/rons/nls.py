@@ -581,8 +581,8 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
     )
 
 
-def rom_rhs(a, basis: PodBasis, quantities: Sequence[core.ConservedQuantity] = (),
-            degeneracy_tol: float = core.DEGENERACY_TOL) -> np.ndarray:
+def rom_rhs(a, basis: PodBasis,
+            quantities: Sequence[core.ConservedQuantity] = ()) -> np.ndarray:
     """Reduced time derivative; constrained when quantities are given.
 
     The plain-Galerkin path is the projection of the pseudo-spectral
@@ -598,10 +598,7 @@ def rom_rhs(a, basis: PodBasis, quantities: Sequence[core.ConservedQuantity] = (
     if not quantities:
         return f
     return core.apply_invariant_correction(
-        basis.metric,
-        f,
-        [q.gradient(values) for q in quantities],
-        degeneracy_tol,
+        basis.metric, f, [q.gradient(values) for q in quantities]
     )
 
 

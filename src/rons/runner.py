@@ -92,8 +92,7 @@ def _swe_integrate(config, U0, grid, scheme, enforced, observer, observe_every, 
     """Advance a ``(2, n)`` state or a ``(B, 2, n)`` ensemble with the
     configured right-hand side, stepper and step rule."""
     if enforced:
-        metric = fv.fv_metric(grid, 2)
-        rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, enforced, metric=metric)
+        rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, enforced)
     else:
         rhs = lambda U: scheme.rhs(U, grid)   # every stepper checks each new state
     if config.dt is not None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import core
 from .errors import DryStateError, ResampledInitialConditionWarning, ValidationError
-from .fv import FluxScheme, FvGrid
+from .fv import FluxScheme, FvGrid, state_integral_quantity
 
 #: Characteristic wavelength (m) and wave speed (m/s) of an open-ocean
 #: tsunami at 4000 m depth; they set the nondimensionalization.
@@ -281,17 +281,13 @@ def swe_quantities(grid: FvGrid, config: SweConfig) -> tuple[core.ConservedQuant
     ``0.5 * sum_i dx [(eta_i + H_i) v_i^2 + g eta_i^2]`` with analytic
     gradient components ``dx (v^2 / 2 + g eta)`` and ``dx (eta + H) v``.
     Values and gradients are batch-transparent over leading axes; the two
-    state integrals have constant ``(2n,)`` gradients.
+    state integrals are :func:`~rons.fv.state_integral_quantity`'s, with
+    constant ``(2n,)`` gradients.
     """
     n = grid.n_cells
     w = grid.widths
     depth = config.depth_at(grid.centers)
     g = config.gravity
-
-    grad_elev = np.concatenate([w, np.zeros(n)])
-    grad_elev.setflags(write=False)
-    grad_vel = np.concatenate([np.zeros(n), w])
-    grad_vel.setflags(write=False)
 
     def energy_value(a):
         eta, v = a[..., :n], a[..., n:]
@@ -314,16 +310,8 @@ def swe_quantities(grid: FvGrid, config: SweConfig) -> tuple[core.ConservedQuant
         return out
 
     return (
-        core.ConservedQuantity(
-            "total_elevation",
-            value=lambda a: a @ grad_elev,
-            gradient=lambda a: grad_elev,
-        ),
-        core.ConservedQuantity(
-            "total_velocity",
-            value=lambda a: a @ grad_vel,
-            gradient=lambda a: grad_vel,
-        ),
+        state_integral_quantity(grid, 2, 0, "total_elevation"),
+        state_integral_quantity(grid, 2, 1, "total_velocity"),
         core.ConservedQuantity("total_energy", energy_value, energy_gradient),
     )
 

@@ -183,3 +183,27 @@ def test_runs_count_minor_faults_per_pass(monkeypatch, tmp_path):
     assert record["metrics"]["run.minor_faults_per_pass"] == {"value": 1000.0,
                                                               "unit": "faults"}
     assert bench_pairs.metric_directions({})["run.minor_faults_per_pass"] == "lower"
+
+
+@pytest.mark.parametrize("pairs", [5, 10])
+def test_each_workload_records_its_pair_count_and_warns_below_ten(monkeypatch, tmp_path,
+                                                                  capsys, pairs):
+    def fake_export(repo, rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text((_PATH.parent.parent / "BENCHMARK.json").read_text())
+        return rev
+
+    def fake_run(args, **kwargs):
+        rate = {"value": 100.0, "unit": "member-steps/s"}
+        record = {"correct": True, "metrics": {"rons.member_steps_per_s": rate}}
+        return bench_pairs.subprocess.CompletedProcess(args, 0, json.dumps(record), "")
+
+    monkeypatch.setattr(bench_pairs, "export", fake_export)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--parent", "a", "--change", "b", "--workloads", "nls-rom",
+                             "--seeds", f"1..{pairs}", "--label", "t", "--work",
+                             str(tmp_path / "work"), "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["workloads"]["nls-rom"]["pairs"] == pairs
+    warned = "warning: nls-rom has 5 usable pair(s), fewer than 10" in capsys.readouterr().err
+    assert warned == (pairs < 10)

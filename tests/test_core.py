@@ -247,47 +247,6 @@ def _unit_circle_system():
     return core.RonsSystem(metric, lambda a: np.array([1.0, 1.0]), (quantity,))
 
 
-class TestEvaluateConstraintSystem:
-    def test_circle_example(self):
-        system = _unit_circle_system()
-        out = core.evaluate_constraint_system(np.array([1.0, 0.0]), system)
-        assert np.allclose(out.matrix, [[4.0]])
-        assert np.allclose(out.rhs, [2.0])
-        assert out.active == (0,)
-
-    def test_zero_gradient_dropped(self):
-        metric = core.assemble_metric(np.eye(2))
-        cubic = core.ConservedQuantity(
-            "cubic", lambda a: float(np.sum(a**3)), lambda a: 3.0 * a**2
-        )
-        system = core.RonsSystem(metric, lambda a: np.ones(2), (cubic,))
-        out = core.evaluate_constraint_system(np.zeros(2), system)
-        assert out.active == ()
-        assert out.matrix.shape == (0, 0)
-
-    def test_duplicate_constraints_raise(self):
-        metric = core.assemble_metric(np.eye(2))
-        q = quadratic_quantity("q", np.eye(2))
-        system = core.RonsSystem(metric, lambda a: np.ones(2), (q, q))
-        with pytest.raises(ConstraintConditioningError):
-            core.evaluate_constraint_system(np.array([1.0, 2.0]), system)
-
-    def test_symmetry_and_psd(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(3, 12))
-            metric = core.assemble_metric(random_spd(rng, n))
-            qs = tuple(
-                quadratic_quantity(f"q{k}", rng.standard_normal((n, n)))
-                for k in range(int(rng.integers(1, 4)))
-            )
-            system = core.RonsSystem(metric, lambda a: rng.standard_normal(n), qs)
-            out = core.evaluate_constraint_system(rng.standard_normal(n), system)
-            c = out.matrix
-            scale = max(np.max(np.abs(c)), 1e-300)
-            assert np.max(np.abs(c - c.T)) <= 1e-12 * scale
-            assert np.min(np.linalg.eigvalsh(c)) >= -1e-12 * scale
-
-
 class TestSolveLagrange:
     def test_scalar(self):
         assert np.allclose(core.solve_lagrange(np.array([[4.0]]), np.array([2.0])), [0.5])
@@ -751,6 +710,34 @@ class TestBatchedCorrection:
         )
         assert out is velocity
 
+    def test_gradients_at_the_tolerance_return_velocity_itself(self, rng):
+        # norms exactly DEGENERACY_TOL and just below it are inactive
+        metric = core.MetricTensor.from_diagonal(rng.uniform(0.5, 2.0, self.W))
+        velocity = rng.standard_normal(self.W)
+        at_tol = np.zeros(self.W)
+        at_tol[3] = core.DEGENERACY_TOL
+        out = core.apply_invariant_correction(
+            metric, velocity, [at_tol, np.full(self.W, 0.1 * core.DEGENERACY_TOL / self.W)]
+        )
+        assert out is velocity
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_tiny_gradient_beside_a_unit_one_gets_multiplier_zero(self, rng, batched):
+        # the 1e-14 gradient is dropped: the result is the correction by the
+        # unit gradient alone, bit for bit
+        metric = core.MetricTensor.from_diagonal(rng.uniform(0.5, 2.0, self.W))
+        unit = np.zeros(self.W)
+        unit[0] = 1.0
+        tiny = np.zeros(self.W)
+        tiny[1] = 1e-14
+        velocity = rng.standard_normal((self.B, self.W) if batched else self.W)
+        if batched:
+            tiny = np.broadcast_to(tiny, velocity.shape)
+        out = core.apply_invariant_correction(metric, velocity, [tiny, unit])
+        alone = core.apply_invariant_correction(metric, velocity, [unit])
+        assert np.array_equal(out, alone)
+        assert _close(out, reference_correction(metric, velocity, [unit]))
+
 
 def reference_correction(metric, velocity, gradients, tol=core.DEGENERACY_TOL):
     """The oracle: the kernel as first written, one member at a time.
@@ -867,21 +854,12 @@ class TestCorrectionProperties:
             assert _close(got, alone)
 
 
-class TestDropDegenerate:
-    def test_mixed(self):
-        grads = [np.array([2.0, 0.0]), np.array([0.0, 0.0])]
-        assert core.drop_degenerate_constraints(grads, 1e-10) == (0,)
+def test_package_exports_resolve():
+    import rons
 
-    def test_all_zero(self):
-        assert core.drop_degenerate_constraints([np.zeros(2)] * 3, 1e-10) == ()
-
-    def test_tiny_versus_unit(self):
-        grads = [np.array([1e-14, 0.0]), np.array([1.0, 1.0])]
-        assert core.drop_degenerate_constraints(grads, 1e-10) == (1,)
-
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValidationError):
-            core.drop_degenerate_constraints([np.ones(2)], 0.0)
+    for name in rons.__all__:
+        assert getattr(rons, name) is not None
+    assert not {"evaluate_constraint_system", "drop_degenerate_constraints"} & set(rons.__all__)
 
 
 def directional_derivative(fn, x, direction, step: float = 1e-6) -> float:

@@ -26,6 +26,50 @@ class TestBuildGrid:
         with pytest.raises(ValidationError):
             fv.build_grid(-1.0, 8)
 
+    @pytest.mark.parametrize("bad", ["centers", "widths"])
+    def test_array_length_must_match_cell_count(self, bad):
+        arrays = {"centers": np.array([0.5, 1.5, 2.5, 3.5]), "widths": np.ones(4)}
+        arrays[bad] = np.append(arrays[bad], 4.5 if bad == "centers" else 0.0)
+        with pytest.raises(ValidationError, match=f"cell {bad} have shape \\(5,\\)"):
+            fv.FvGrid(length=4.0, n_cells=4, **arrays)
+
+    def test_arrays_are_read_only_copies(self):
+        widths = np.ones(4)
+        grid = fv.FvGrid(length=4.0, n_cells=4, centers=np.arange(4) + 0.5, widths=widths)
+        widths[0] = 5.0
+        assert grid.widths[0] == 1.0
+        built = fv.build_grid(10.0, 8)
+        for values in (grid.centers, grid.widths, built.centers, built.widths):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 5.0
+
+
+class TestGridMetric:
+    def test_built_once_per_grid_and_field_count(self):
+        grid = fv.build_grid(10.0, 16)
+        assert fv.fv_metric(grid, 2) is fv.fv_metric(grid, 2)
+        assert fv.fv_metric(grid, 1) is not fv.fv_metric(grid, 2)
+        assert fv.fv_metric(grid, 1).size == 16
+        other = fv.build_grid(10.0, 16)
+        assert fv.fv_metric(other, 2) is not fv.fv_metric(grid, 2)
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_fvrons_rhs_matches_a_freshly_built_metric(self, batch):
+        config, grid, scheme = _swe_setup()
+        quantities = swe.swe_quantities(grid, config)
+        U = np.stack([swe.random_oscillatory_ic(s, grid, config) for s in range(3)])
+        U[:, 1] = 1e-6 * np.random.default_rng(2).standard_normal((3, grid.n_cells))
+        U = U if batch else U[0]
+        fresh = core.MetricTensor.from_diagonal(np.tile(grid.widths, 2))
+        flat_shape = batch + (-1,)
+        want = core.apply_invariant_correction(
+            fresh,
+            scheme.rhs(U, grid).reshape(flat_shape),
+            [q.gradient(U.reshape(flat_shape)) for q in quantities],
+        ).reshape(U.shape)
+        got = fv.fvrons_rhs(U, scheme, grid, quantities)
+        assert got.tobytes() == want.tobytes()
+
 
 def _swe_setup(n=64):
     config = swe.SweConfig()
@@ -149,13 +193,12 @@ class TestFvRonsDivergence:
                                                               stages):
         config, grid, scheme = _swe_setup()
         quantities = swe.swe_quantities(grid, config)
-        metric = fv.fv_metric(grid, 2)
         U0 = swe.random_oscillatory_ic(3, grid, config)
         if members:
             U0 = np.stack([swe.random_oscillatory_ic(s, grid, config) for s in range(members)])
         # the first step is clean; the second step's second stage is not
         bad_scheme = failing_at_call(scheme, stages + 2, bad)
-        rhs = lambda U: fv.fvrons_rhs(U, bad_scheme, grid, quantities, metric=metric)
+        rhs = lambda U: fv.fvrons_rhs(U, bad_scheme, grid, quantities)
         with pytest.raises(DivergenceError, match="step at t=") as info:
             with np.errstate(invalid="ignore", over="ignore"):
                 integrate(rhs, U0, StepSchedule(t_final=1.0, dt=0.01), stepper=stepper)
@@ -185,6 +228,18 @@ class TestStateIntegral:
         grid = fv.build_grid(1.0, 4)
         with pytest.raises(ValidationError):
             fv.state_integral(np.zeros((2, 4)), grid, 5)
+
+    def test_quantity_value_is_batch_transparent(self, rng):
+        grid = fv.build_grid(10.0, 16)
+        q = fv.state_integral_quantity(grid, 2, 0)
+        batch = rng.standard_normal((4, 32))
+        values = q.value(batch)
+        assert values.shape == (4,)
+        # a matrix-vector product may sum in another order than a dot product
+        scale = np.abs(batch[:, :16]) @ grid.widths
+        for value, member, size in zip(values, batch, scale):
+            assert abs(value - q.value(member)) <= 1e-14 * size
+            assert abs(value - fv.state_integral(member.reshape(2, 16), grid, 0)) <= 1e-14 * size
 
     def test_quantity_gradient_is_cell_widths(self):
         grid = fv.build_grid(10.0, 16)

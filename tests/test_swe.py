@@ -452,6 +452,17 @@ class TestInvariants:
         assert values[1] == 0.0
         assert values[2] == pytest.approx(5 * config.gravity * c**2)
 
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_state_integrals_are_the_fv_field_integrals(self, rng, batch):
+        config = swe.SweConfig()
+        grid = fv.build_grid(10.0, 32)
+        a = rng.standard_normal(batch + (64,))
+        quantities = swe.swe_quantities(grid, config)
+        for fld, q in enumerate(quantities[:2]):
+            ref = fv.state_integral_quantity(grid, 2, fld)
+            assert np.array_equal(q.value(a), ref.value(a))
+            assert np.array_equal(q.gradient(a), ref.gradient(a))
+
     def test_gradients_match_finite_differences(self, rng):
         config = swe.SweConfig()
         grid = fv.build_grid(10.0, 12)

@@ -23,8 +23,10 @@ around it) over its pass count in ``passes.json``; lower is better.
 ``BENCH_<label>.json`` gets, per workload and metric, the per-pair values of
 both sides, their medians and quartiles, the change/parent ratio of the
 medians and how many pairs the change won (by the direction ``BENCHMARK.json``
-declares for the metric), plus the seeds, the revisions and whether every run
-was correct.
+declares for the metric), plus the seeds, the revisions, whether every run
+was correct and, per workload, the number of usable pairs.  A workload with
+fewer than ``MIN_PAIRS`` usable pairs gets a warning: with so few, run-to-run
+noise alone can put the medians more than an interquartile range apart.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 RAW = "median_raw."
 FAULTS = "run.minor_faults_per_pass"
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -215,7 +218,12 @@ def main(argv=None) -> int:
                           f"rons={value.get('value')}", flush=True)
                 records.append((pair["parent"], pair["change"]))
             usable = [(p, c) for p, c in records if "metrics" in p and "metrics" in c]
+            if len(usable) < MIN_PAIRS:
+                print(f"warning: {workload} has {len(usable)} usable pair(s), fewer than "
+                      f"{MIN_PAIRS}; its 'resolved' and win counts are not evidence",
+                      file=sys.stderr, flush=True)
             result["workloads"][workload] = {
+                "pairs": len(usable),
                 "all_correct": all(p["ok"] and c["ok"] for p, c in records),
                 "errors": [r["error"] for pair in records for r in pair if "error" in r],
                 "metrics": collect(usable, directions) if usable else {},
