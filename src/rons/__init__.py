@@ -30,7 +30,7 @@ from .core import (
     grons_rhs,
     solve_lagrange,
 )
-from .fv import FluxScheme, FvGrid, build_grid, fv_rhs, fvrons_rhs, state_integral
+from .fv import FluxScheme, FvGrid, build_grid, fv_rhs, fvrons_rhs
 from .integrators import StepSchedule, Trajectory, integrate, step_rk4, step_ssprk3
 from .swe import SweConfig, central_upwind_scheme, gaussian_pulse_ic
 from .nls import PodBasis, SnapshotSeries, SpectralField, compute_pod, dns_run, rom_run
@@ -52,7 +52,6 @@ __all__ = [
     "build_grid",
     "fv_rhs",
     "fvrons_rhs",
-    "state_integral",
     "StepSchedule",
     "Trajectory",
     "integrate",

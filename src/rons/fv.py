@@ -128,14 +128,6 @@ def fvrons_rhs(
     return corrected.reshape(U.shape)
 
 
-def state_integral(U: np.ndarray, grid: FvGrid, fld: int) -> float:
-    """Integral of one field: ``sum_i |cell_i| U_i``."""
-    U = np.asarray(U, dtype=float)
-    if not 0 <= fld < U.shape[0]:
-        raise ValidationError(f"field index {fld} out of range for {U.shape[0]} fields")
-    return float(np.dot(grid.widths, U[fld]))
-
-
 def state_integral_quantity(
     grid: FvGrid, n_fields: int, fld: int, name: str | None = None
 ) -> core.ConservedQuantity:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .nls import PodBasis, SnapshotSeries, spectral_derivative
+from .nls import PodBasis, SnapshotSeries
 
 
 def format_float(x: float) -> str:
@@ -197,8 +197,6 @@ def load_pod_basis(path) -> PodBasis:
     return PodBasis(
         mean=mean,
         modes=modes,
-        mode_derivatives=spectral_derivative(modes, length),
-        mean_derivative=spectral_derivative(mean, length),
         length=length,
         singular_values=np.asarray(sv),
     )

@@ -382,23 +382,21 @@ class PodBasis:
     """Mean plus orthonormal modes extracted from snapshots.
 
     ``modes`` has one mode per row, orthonormal under the discrete inner
-    product ``<f, g> = dx * sum conj(f) g``.  Mode derivatives are
-    precomputed spectrally so reduced-state energy gradients are exact.
-    The projector and the reduced operator are built on first use, so the
+    product ``<f, g> = dx * sum conj(f) g``.  The spectral derivatives of
+    the mean and the modes (so reduced-state energy gradients are exact),
+    the projector and the reduced operator are built on first use, so the
     arrays of a basis must not be modified afterwards.
     """
 
     mean: np.ndarray
     modes: np.ndarray
-    mode_derivatives: np.ndarray
-    mean_derivative: np.ndarray
     length: float
     singular_values: np.ndarray
 
     def __post_init__(self):
         # one memory layout whatever the source (an SVD, a file), so a
         # reloaded basis gives bitwise-identical matrix products
-        for name in ("mean", "modes", "mode_derivatives", "mean_derivative"):
+        for name in ("mean", "modes"):
             setattr(self, name, np.ascontiguousarray(getattr(self, name), dtype=complex))
         if self.modes.ndim != 2 or self.modes.shape[1] != self.mean.shape[0]:
             raise DimensionError("modes and mean must share the grid")
@@ -421,6 +419,14 @@ class PodBasis:
     @property
     def layout(self) -> core.ParameterLayout:
         return core.ParameterLayout.single_complex(self.n_modes)
+
+    @cached_property
+    def mode_derivatives(self) -> np.ndarray:
+        return spectral_derivative(self.modes, self.length)
+
+    @cached_property
+    def mean_derivative(self) -> np.ndarray:
+        return spectral_derivative(self.mean, self.length)
 
     @cached_property
     def _projector(self) -> np.ndarray:
@@ -519,8 +525,6 @@ def compute_pod(snapshots: np.ndarray, n_modes: int, length: float) -> PodBasis:
     return PodBasis(
         mean=mean,
         modes=modes,
-        mode_derivatives=spectral_derivative(modes, length),
-        mean_derivative=spectral_derivative(mean, length),
         length=length,
         singular_values=s.copy(),
     )

@@ -267,7 +267,7 @@ def _nls(config: RunConfig) -> RunRecord:
         quantities = nls.rom_quantities(basis) if config.scheme == "g-rons" else ()
         series, diag = nls.rom_run(
             a0[0] if single else a0, basis, config.horizon, config.snapshot_cadence,
-            config.dt if config.dt is not None else 1.0 / 32, quantities=quantities,
+            config.dt, quantities=quantities,
         )
         extra = {
             "rom_modes": basis.n_modes,

@@ -98,7 +98,7 @@ class TestEnsembleCommand:
 class TestBadConfigs:
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_exit_one_with_error_line(self, tmp_path, capsys, case):
-        cfg = write_config(tmp_path, ensemble_text(**BAD_VALUES[case][0]))
+        cfg = write_config(tmp_path, BAD_VALUES[case][0])
         assert main(["ensemble", cfg, "--output", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err

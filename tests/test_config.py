@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rons.config import parse_config
+from rons.config import SWE_QUANTITIES, RunConfig, parse_config
 from rons.errors import ConfigError
 
 
@@ -33,6 +33,21 @@ class TestDefaults:
         assert cfg.rom_modes == 9
         assert cfg.horizon == 100.0
         assert cfg.stepper == "rk4"
+        assert cfg.dt == 1.0 / 32
+
+    @pytest.mark.parametrize("model, scheme", [
+        ("swe", None), ("swe", "fv-rons"), ("nls-dns", None), ("nls-rom", None),
+        ("nls-rom", "g-rons"),
+    ])
+    def test_keywords_and_minimal_file_agree(self, tmp_path, model, scheme):
+        # scheme None: left unset on both paths, so the model's default
+        run = {"model": model} if scheme is None else {"model": model, "scheme": scheme}
+        text = "[run]\n" + "".join(f"{key} = {value}\n" for key, value in run.items())
+        from_file = vars(parse_config(write(tmp_path, text)))
+        from_keywords = vars(RunConfig(**run).validate())
+        assert from_file.pop("raw") == {"run": run}
+        assert from_keywords.pop("raw") == {}
+        assert from_file == from_keywords
 
 
 class TestValidation:
@@ -60,9 +75,48 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
 
+    def test_fv_with_enforced_quantities_rejected(self, tmp_path):
+        text = "[run]\nmodel = swe\nscheme = fv\n[swe]\nenforce = total_energy\n"
+        with pytest.raises(ConfigError, match="swe.enforce"):
+            parse_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match="swe.enforce"):
+            RunConfig(model="swe", scheme="fv", enforce=SWE_QUANTITIES).validate()
+
+    def test_fvrons_with_empty_enforce_rejected(self, tmp_path):
+        text = "[run]\nmodel = swe\nscheme = fv-rons\n[swe]\nenforce =\n"
+        with pytest.raises(ConfigError, match="swe.enforce"):
+            parse_config(write(tmp_path, text))
+        with pytest.raises(ConfigError, match="swe.enforce"):
+            RunConfig(model="swe", scheme="fv-rons", enforce=()).validate()
+
     def test_unknown_quantity(self, tmp_path):
         text = "[run]\nmodel = swe\nscheme = fv-rons\n[swe]\nenforce = vorticity\n"
         with pytest.raises(ConfigError, match="vorticity"):
+            parse_config(write(tmp_path, text))
+
+
+SWE_ONLY = ["space.cells", "time.cadence", "time.stepper", "time.cfl_factor",
+            "sampling.cadence", "swe.ic", "swe.theta", "swe.snapshot_times", "swe.enforce"]
+ROM_ONLY = ["nls.rom_modes", "nls.basis", "nls.training_seeds", "nls.training_horizon",
+            "nls.ic", "nls.ic_amplitude"]
+#: model -> the keys it does not read
+UNREAD = {
+    "swe": ["space.modes", "nls.snapshot_cadence"] + ROM_ONLY,
+    "nls-dns": SWE_ONLY + ROM_ONLY,
+    "nls-rom": SWE_ONLY,
+}
+
+
+class TestKeysByModel:
+    """A model accepts only the keys it reads."""
+
+    @pytest.mark.parametrize("model, dotted", [(model, dotted) for model, keys in UNREAD.items()
+                                               for dotted in keys])
+    def test_unread_key_rejected_by_name(self, tmp_path, model, dotted):
+        # rejected before conversion, so any value will do
+        section, key = dotted.split(".")
+        text = f"[run]\nmodel = {model}\n[{section}]\n{key} = 1\n"
+        with pytest.raises(ConfigError, match=f"does not read: {dotted}$"):
             parse_config(write(tmp_path, text))
 
 
@@ -75,25 +129,38 @@ ENSEMBLE = {
 }
 
 
-def ensemble_text(**changes):
-    """A small SWE ensemble config with whole sections replaced."""
-    sections = {**ENSEMBLE, **changes}
+NLS_ENSEMBLE = {
+    "run": "model = nls-dns\nseeds = 0..1",
+    "space": "modes = 16",
+    "time": "horizon = 0.5",
+    "nls": "snapshot_cadence = 0.25",
+    "sampling": "window = 0, 0.5\nbins = 4",
+}
+
+
+def ensemble_text(base=ENSEMBLE, **changes):
+    """A small ensemble config (SWE unless ``base`` says otherwise) with
+    whole sections replaced."""
+    sections = {**base, **changes}
     return "".join(f"[{name}]\n{body}\n" for name, body in sections.items())
 
 
-#: config changes that are not runnable, and a word the error must contain
+#: config texts that are not runnable, and a word the error must contain
 BAD_VALUES = {
-    "cells not a number": ({"space": "cells = abc"}, "space.cells"),
-    "length not a number": ({"space": "cells = 16\nlength = ten"}, "space.length"),
-    "zero sampling cadence": ({"sampling": "window = 0, 0.5\ncadence = 0"}, "cadence"),
-    "negative sampling cadence": ({"sampling": "window = 0, 0.5\ncadence = -1"}, "cadence"),
-    "zero snapshot cadence": ({"nls": "snapshot_cadence = 0"}, "snapshot cadence"),
-    "negative snapshot cadence": ({"nls": "snapshot_cadence = -0.5"}, "snapshot cadence"),
-    "no histogram bins": ({"sampling": "window = 0, 0.5\nbins = 0"}, "bin"),
-    "bins not a number": ({"sampling": "window = 0, 0.5\nbins = many"}, "sampling.bins"),
-    "one-number window": ({"sampling": "window = 25"}, "two numbers"),
-    "three-number window": ({"sampling": "window = 0, 0.25, 0.5"}, "two numbers"),
-    "one-number error window": ({"nls": "error_window = 25"}, "two numbers"),
+    "cells not a number": (ensemble_text(space="cells = abc"), "space.cells"),
+    "length not a number": (ensemble_text(space="cells = 16\nlength = ten"), "space.length"),
+    "zero sampling cadence": (ensemble_text(sampling="window = 0, 0.5\ncadence = 0"), "cadence"),
+    "negative sampling cadence": (ensemble_text(sampling="window = 0, 0.5\ncadence = -1"),
+                                  "cadence"),
+    "zero snapshot cadence": (ensemble_text(NLS_ENSEMBLE, nls="snapshot_cadence = 0"),
+                              "snapshot cadence"),
+    "negative snapshot cadence": (ensemble_text(NLS_ENSEMBLE, nls="snapshot_cadence = -0.5"),
+                                  "snapshot cadence"),
+    "no histogram bins": (ensemble_text(sampling="window = 0, 0.5\nbins = 0"), "bin"),
+    "bins not a number": (ensemble_text(sampling="window = 0, 0.5\nbins = many"),
+                          "sampling.bins"),
+    "one-number window": (ensemble_text(sampling="window = 25"), "two numbers"),
+    "three-number window": (ensemble_text(sampling="window = 0, 0.25, 0.5"), "two numbers"),
 }
 
 
@@ -102,11 +169,15 @@ class TestRejectedValues:
         cfg = parse_config(write(tmp_path, ensemble_text()))
         assert (cfg.seeds, cfg.bins, cfg.sample_window) == ((0, 1), 4, (0.0, 0.5))
 
+    def test_nls_base_config_is_valid(self, tmp_path):
+        cfg = parse_config(write(tmp_path, ensemble_text(NLS_ENSEMBLE)))
+        assert (cfg.seeds, cfg.snapshot_cadence, cfg.sample_window) == ((0, 1), 0.25, (0.0, 0.5))
+
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_rejected_with_config_error(self, tmp_path, case):
-        changes, word = BAD_VALUES[case]
+        text, word = BAD_VALUES[case]
         with pytest.raises(ConfigError, match=word):
-            parse_config(write(tmp_path, ensemble_text(**changes)))
+            parse_config(write(tmp_path, text))
 
 
 class TestSeeds:

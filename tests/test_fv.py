@@ -205,15 +205,20 @@ class TestFvRonsDivergence:
         assert info.value.time == pytest.approx(0.01)
 
 
+def field_integral(grid, U, fld):
+    """The integral of field ``fld`` of a ``(2, n)`` state."""
+    return fv.state_integral_quantity(grid, 2, fld).value(U.reshape(-1))
+
+
 class TestStateIntegral:
     def test_unit_field(self):
         grid = fv.build_grid(10.0, 128)
         U = np.stack([np.ones(128), np.zeros(128)])
-        assert fv.state_integral(U, grid, 0) == pytest.approx(10.0)
+        assert field_integral(grid, U, 0) == pytest.approx(10.0)
 
     def test_zero_field(self):
         grid = fv.build_grid(10.0, 128)
-        assert fv.state_integral(np.zeros((2, 128)), grid, 1) == 0.0
+        assert field_integral(grid, np.zeros((2, 128)), 1) == 0.0
 
     def test_gaussian_matches_quadrature(self):
         # oracle: adaptive quadrature of the pulse profile
@@ -222,12 +227,12 @@ class TestStateIntegral:
         U = swe.gaussian_pulse_ic(grid, config)
         amplitude = 0.1 / config.wavelength_m
         exact, _ = quad(lambda x: amplitude * np.exp(-((5.0 * (x - 5.0)) ** 2)), 0, 10)
-        assert fv.state_integral(U, grid, 0) == pytest.approx(exact, rel=1e-6)
+        assert field_integral(grid, U, 0) == pytest.approx(exact, rel=1e-6)
 
     def test_bad_field_index(self):
         grid = fv.build_grid(1.0, 4)
         with pytest.raises(ValidationError):
-            fv.state_integral(np.zeros((2, 4)), grid, 5)
+            fv.state_integral_quantity(grid, 2, 5)
 
     def test_quantity_value_is_batch_transparent(self, rng):
         grid = fv.build_grid(10.0, 16)
@@ -239,7 +244,7 @@ class TestStateIntegral:
         scale = np.abs(batch[:, :16]) @ grid.widths
         for value, member, size in zip(values, batch, scale):
             assert abs(value - q.value(member)) <= 1e-14 * size
-            assert abs(value - fv.state_integral(member.reshape(2, 16), grid, 0)) <= 1e-14 * size
+            assert abs(value - np.dot(grid.widths, member[:16])) <= 1e-14 * size
 
     def test_quantity_gradient_is_cell_widths(self):
         grid = fv.build_grid(10.0, 16)
@@ -255,7 +260,7 @@ class TestNonuniformWidths:
         centers = np.cumsum(widths) - 0.5 * widths
         grid = fv.FvGrid(length=4.0, n_cells=4, centers=centers, widths=widths)
         U = np.stack([np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4)])
-        assert fv.state_integral(U, grid, 0) == pytest.approx(0.5 + 2.0 + 4.5 + 4.0)
+        assert field_integral(grid, U, 0) == pytest.approx(0.5 + 2.0 + 4.5 + 4.0)
         metric = fv.fv_metric(grid, 2)
         assert np.array_equal(np.diag(metric.toarray()), np.tile(widths, 2))
         with pytest.raises(ValidationError):
@@ -273,8 +278,8 @@ class TestDiscreteConservation:
             traj = integrate(rhs, U0, schedule, stepper=step_ssprk3, observe_every=1.0)
             final = traj.states[-1]
             for fld in range(2):
-                start = fv.state_integral(U0, grid, fld)
-                end = fv.state_integral(final, grid, fld)
+                start = field_integral(grid, U0, fld)
+                end = field_integral(grid, final, fld)
                 # velocity starts identically zero, so scale the drift by the
                 # L1 magnitude the field actually reaches
                 scale = max(

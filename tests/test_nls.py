@@ -24,8 +24,6 @@ def fourier_basis(n_modes, n=N_GRID, length=LENGTH):
     return nls.PodBasis(
         mean=np.zeros(n, dtype=complex),
         modes=modes,
-        mode_derivatives=np.stack([nls.spectral_derivative(m, length) for m in modes]),
-        mean_derivative=np.zeros(n, dtype=complex),
         length=length,
         singular_values=np.ones(n_modes),
     )

@@ -284,7 +284,6 @@ modes = 64
 length = 50.26548245743669
 [time]
 horizon = 2.0
-cadence = 1.0
 [nls]
 snapshot_cadence = 0.5
 """
@@ -296,6 +295,13 @@ snapshot_cadence = 0.5
         write_outputs(record, out, "csv")
         loaded = io.load_snapshots(out / "snapshots.csv")
         assert np.allclose(loaded.snapshots, record.snapshot_series.snapshots)
+
+    def test_dns_shorter_than_the_swe_observer_cadence(self, tmp_path):
+        # the observer cadence is a shallow-water setting, so its default of
+        # 1.0 does not bound an NLS horizon
+        text = "[run]\nmodel = nls-dns\n[space]\nmodes = 32\n[time]\nhorizon = 0.5\n"
+        record = run_experiment(make_config(tmp_path, text))
+        assert record.snapshot_series.times[-1] == pytest.approx(0.5)
 
     def test_rom_single_with_saved_basis(self, tmp_path):
         series, _ = nls.dns_run(nls.nls_random_ic(100, 16 * np.pi, 64), 30.0, 0.5)
@@ -312,7 +318,6 @@ modes = 64
 length = {16 * np.pi!r}
 [time]
 horizon = 5.0
-cadence = 1.0
 [nls]
 basis = {basis_path}
 rom_modes = 4
@@ -361,7 +366,6 @@ modes = 64
 length = {16 * np.pi!r}
 [time]
 horizon = 4.0
-cadence = 1.0
 [nls]
 basis = {basis_path}
 rom_modes = 4
@@ -437,7 +441,6 @@ modes = 64
 length = {length!r}
 [time]
 horizon = 0.5
-cadence = 0.25
 [nls]
 basis = {basis_path}
 rom_modes = 3
