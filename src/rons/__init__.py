@@ -19,6 +19,8 @@ __version__ = "0.1.0"
 
 from .core import (
     ConservedQuantity,
+    ConstraintSet,
+    LinearFunctional,
     MetricTensor,
     ParameterLayout,
     ParameterState,
@@ -37,6 +39,8 @@ from .nls import PodBasis, SnapshotSeries, SpectralField, compute_pod, dns_run, 
 
 __all__ = [
     "ConservedQuantity",
+    "ConstraintSet",
+    "LinearFunctional",
     "MetricTensor",
     "ParameterLayout",
     "ParameterState",

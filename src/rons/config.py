@@ -53,7 +53,11 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _whole_numbers(text: str) -> tuple[int, ...]:
-    return tuple(int(value) for value in _floats(text))
+    values = _floats(text)
+    fractional = [value for value in values if not value.is_integer()]
+    if fractional:
+        raise ValueError(f"not whole numbers: {', '.join(map(str, fractional))}")
+    return tuple(int(value) for value in values)
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -188,8 +192,11 @@ class RunConfig:
                 raise ConfigError("swe ic must be 'gaussian', 'random' or 'rest'")
         elif not self.snapshot_cadence > 0:
             raise ConfigError("nls snapshot cadence must be positive")
-        elif self.model == ROM and self.nls_ic not in ("random", "project"):
-            raise ConfigError("nls ic must be 'random' or 'project'")
+        elif self.model == ROM:
+            if self.nls_ic not in ("random", "project"):
+                raise ConfigError("nls ic must be 'random' or 'project'")
+            if self.rom_modes < 1:
+                raise ConfigError("nls.rom_modes must be at least 1")
         return self
 
     def resolved_out_dir(self) -> Path:

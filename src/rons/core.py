@@ -363,11 +363,37 @@ class ConservedQuantity:
     ``value`` maps a parameter vector to the scalar invariant; ``gradient``
     returns its analytic gradient with respect to the same vector.  Shipped
     quantities are checked against central finite differences in the tests.
+    A linear invariant declares itself by giving a :class:`LinearFunctional`
+    as its ``value``; a :class:`ConstraintSet` then takes the gradient from
+    its coefficients once per run instead of calling ``gradient``.
     """
 
     name: str
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+
+
+class LinearFunctional:
+    """The value ``a @ coefficients`` of a linear invariant.
+
+    Batch-transparent over leading axes of ``a``.  The read-only coefficient
+    vector is the invariant's constant gradient, returned by :meth:`gradient`.
+    """
+
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        coefficients = np.array(coefficients, dtype=float)
+        if coefficients.ndim != 1:
+            raise DimensionError("a linear functional needs a 1-d coefficient vector")
+        coefficients.setflags(write=False)
+        self.coefficients = coefficients
+
+    def __call__(self, a):
+        return a @ self.coefficients
+
+    def gradient(self, a) -> np.ndarray:
+        return self.coefficients
 
 
 def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
@@ -389,16 +415,15 @@ def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
 
 @dataclass
 class RonsSystem:
-    """Metric, projected right-hand side and the invariants to enforce."""
+    """Metric, projected right-hand side and the invariants to enforce,
+    prepared as one :class:`ConstraintSet` at construction."""
 
     metric: MetricTensor
     rhs: Callable[[np.ndarray], np.ndarray]
-    constraints: tuple[ConservedQuantity, ...] = ()
+    constraints: "ConstraintSet" = ()
 
     def __post_init__(self):
-        self.constraints = tuple(self.constraints)
-        if len(self.constraints) > self.metric.size:
-            raise ValidationError("more constraints than parameters")
+        self.constraints = ConstraintSet(self.metric, self.constraints)
 
 
 def _is_active(gradients: np.ndarray) -> np.ndarray:
@@ -586,19 +611,20 @@ def _shared_block(metric: MetricTensor, gradients):
     """Stack gradients shared by the whole batch, each ``(w,)``, once.
 
     Drops the inactive ones and applies ``M^{-1}`` once.  Returns ``G_s`` and
-    ``M^{-1} G_s``, both ``(m_s, w)``.
+    ``M^{-1} G_s``, both ``(m_s, w)``, and ``None`` for ``C_ss``.
     """
     g = np.array(gradients, dtype=float)
     active = _is_active(g)
     if not active.all():
         g = g[active]
-    return g, metric.solve(g)
+    return g, metric.solve(g), None
 
 
 def apply_invariant_correction(
     metric: MetricTensor,
     velocity: np.ndarray,
     gradients: Sequence[np.ndarray],
+    shared: tuple | None = None,
 ) -> np.ndarray:
     """Project ``velocity`` onto the tangent space of the active invariants.
 
@@ -619,26 +645,37 @@ def apply_invariant_correction(
     use row-wise ``vecdot``, so a member's result does not depend on the
     batch it sits in (a GEMM rounds by row count).  The result is
     ``velocity - lambda_o . M^{-1} G_o - lambda_s @ M^{-1} G_s``.
+
+    ``shared`` is that block already built, as a :class:`ConstraintSet`
+    keeps it: ``(G_s, M^{-1} G_s, C_ss)`` of active rows only, with
+    ``C_ss`` computed here when it is ``None``.  ``gradients`` then lists
+    the per-member gradients alone.  The block is read, never written.
     """
     velocity = np.asarray(velocity, dtype=float)
-    if len(gradients) == 0:
-        return velocity
-    shared, own = [], []
-    for g in gradients:
-        (shared if np.ndim(g) == 1 else own).append(g)
+    if shared is None:
+        if len(gradients) == 0:
+            return velocity
+        flat, own = [], []
+        for g in gradients:
+            (flat if np.ndim(g) == 1 else own).append(g)
+        if flat:
+            shared = _shared_block(metric, flat)
+    else:
+        own = gradients
     m_s = 0
-    if shared:
-        g_s, solved_s = _shared_block(metric, shared)
+    if shared is not None:
+        g_s, solved_s, c_ss = shared
         m_s = len(g_s)
+        if m_s and c_ss is None:
+            c_ss = solved_s @ g_s.T
     if not own:
         if not m_s:
             return velocity
-        c = solved_s @ g_s.T
         if velocity.ndim == 1:
-            b = velocity @ g_s.T
+            c, b = c_ss, velocity @ g_s.T
         else:
             b = np.vecdot(velocity[..., None, :], g_s)
-            c = np.broadcast_to(c, b.shape + (m_s,))
+            c = np.broadcast_to(c_ss, b.shape + (m_s,))
         return velocity - solve_lagrange(c, b) @ solved_s
 
     # per-member gradients stacked along axis -2: a view of a lone one
@@ -662,7 +699,7 @@ def apply_invariant_correction(
         c = np.empty(velocity.shape[:-1] + (m, m))
         b = np.empty(velocity.shape[:-1] + (m,))
         cross = np.vecdot(g_o[..., :, None, :], solved_s)
-        c[..., :m_s, :m_s] = solved_s @ g_s.T
+        c[..., :m_s, :m_s] = c_ss
         c[..., m_s:, :m_s] = cross
         c[..., :m_s, m_s:] = cross.swapaxes(-1, -2)
         c[..., m_s:, m_s:] = c_oo
@@ -691,6 +728,104 @@ def apply_invariant_correction(
     return out
 
 
+class ConstraintSet:
+    """The invariants enforced on one run, prepared once against its metric.
+
+    A sequence of its quantities.  The rows of the linear ones (whose value
+    is a :class:`LinearFunctional`) are constant: they are stacked, tested
+    for degeneracy and solved through ``M^{-1}`` here, once, so that
+    :meth:`correct` computes only what depends on the state.
+
+    * An unbatched state fills the varying rows of the ``(m, w)`` stacks
+      ``G`` and ``M^{-1} G`` (active linear rows and every other row, in
+      quantity order) in place: the gradient, its degeneracy test and, for a
+      diagonal metric, its row of the elementwise solve.  A dense metric
+      solves the whole stack per call.  A varying row that is inactive at
+      this state falls back to the kernel's drop-and-stack path.
+    * A batched state passes the cached ``G_s``, ``M^{-1} G_s`` and ``C_ss``
+      of the linear rows to the kernel beside the others' gradients, which
+      it takes as per-member ones.
+
+    Either way the result is bitwise the kernel's on the plain gradient
+    list of batch-transparent gradients; with no linear quantity
+    :meth:`correct` is that kernel call.  The stacks are rewritten by every
+    call, so a set serves one run at a time.
+    """
+
+    def __init__(self, metric: MetricTensor, quantities: Sequence[ConservedQuantity] = ()):
+        self.metric = metric
+        self.quantities = tuple(quantities)
+        if len(self.quantities) > metric.size:
+            raise ValidationError("more constraints than parameters")
+        linear = [q.value.coefficients if isinstance(q.value, LinearFunctional) else None
+                  for q in self.quantities]
+        self._g = None
+        if all(c is None for c in linear):
+            return
+        if any(c is not None and c.shape != (metric.size,) for c in linear):
+            raise DimensionError(
+                f"linear invariant coefficients must match metric size {metric.size}"
+            )
+        # an inactive linear row is inactive at every state, so it never enters
+        kept = [(q, c) for q, c in zip(self.quantities, linear) if c is None or _is_active(c)]
+        fixed = [c for _, c in kept if c is not None]
+        # batched calls: the active linear rows as the kernel's shared block
+        self._shared = None
+        if fixed:
+            g_s, solved_s, _ = _shared_block(metric, fixed)
+            c_ss = solved_s @ g_s.T
+            c_ss.setflags(write=False)
+            self._shared = (g_s, solved_s, c_ss)
+        self._own = tuple(q.gradient for q, c in kept if c is None)
+        # unbatched calls: G and M^-1 G, whose varying rows each call writes
+        self._g = np.zeros((len(kept), metric.size))
+        for row, (_, c) in zip(self._g, kept):
+            if c is not None:
+                row[:] = c
+        self._solved = metric.solve(self._g)
+        self._solve_all = metric.kind == "dense"
+        self._diag = metric._diag
+        elementwise = self._solved is not self._g and not self._solve_all
+        self._varying = tuple(
+            (q.gradient, self._g[k], self._solved[k] if elementwise else None)
+            for k, (q, c) in enumerate(kept) if c is None
+        )
+
+    @classmethod
+    def of(cls, metric: MetricTensor, quantities) -> "ConstraintSet":
+        """``quantities`` itself when it is a set prepared against ``metric``,
+        else a new set of them."""
+        if isinstance(quantities, cls) and quantities.metric is metric:
+            return quantities
+        return cls(metric, quantities)
+
+    def __len__(self) -> int:
+        return len(self.quantities)
+
+    def __iter__(self):
+        return iter(self.quantities)
+
+    def correct(self, velocity: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """:func:`apply_invariant_correction` of ``velocity`` with the
+        gradients at ``state``, a ``(w,)`` vector or a ``(..., w)`` batch."""
+        if self._g is None:
+            return apply_invariant_correction(
+                self.metric, velocity, [q.gradient(state) for q in self.quantities]
+            )
+        if state.ndim > 1:
+            own = [gradient(state) for gradient in self._own]
+            return apply_invariant_correction(self.metric, velocity, own, self._shared)
+        for gradient, row, _ in self._varying:
+            row[:] = gradient(state)
+        for _, row, solved_row in self._varying:
+            if not _is_active(row):
+                return apply_invariant_correction(self.metric, velocity, self._g)
+            if solved_row is not None:
+                np.divide(row, self._diag, out=solved_row)
+        solved = self.metric.solve(self._g) if self._solve_all else self._solved
+        return apply_invariant_correction(self.metric, velocity, (), (self._g, solved, None))
+
+
 def grons_rhs(a, system: RonsSystem) -> np.ndarray:
     """Constrained time derivative ``M a' = f - sum_k lambda_k grad I_k``.
 
@@ -701,7 +836,5 @@ def grons_rhs(a, system: RonsSystem) -> np.ndarray:
     """
     a = state_values(a)
     velocity = system.metric.solve(np.asarray(system.rhs(a), dtype=float))
-    return apply_invariant_correction(
-        system.metric, velocity, [q.gradient(a) for q in system.constraints]
-    )
+    return ConstraintSet.of(system.metric, system.constraints).correct(velocity, a)
 

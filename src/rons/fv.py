@@ -106,7 +106,9 @@ def fvrons_rhs(
     """Finite-volume derivative corrected to conserve the given invariants.
 
     ``dU/dt = F(U) - sum_k lambda_k M^{-1} grad I_k`` with the grid's
-    diagonal cell metric (:func:`fv_metric`).  Batch-transparent: ``U`` is
+    diagonal cell metric (:func:`fv_metric`).  ``constraints`` is a
+    :class:`~rons.core.ConstraintSet` prepared against that metric once per
+    run, or a plain sequence of quantities, prepared per call.  Batch-transparent: ``U`` is
     ``(..., p, n)`` and each member gets its own multipliers, with
     degenerate gradients masked member by member.  The constraint gradients
     receive the flattened ``(..., p * n)`` states.  With an empty (or fully
@@ -119,28 +121,21 @@ def fvrons_rhs(
         return flux
     U = np.asarray(U, dtype=float)
     flat_shape = U.shape[:-2] + (-1,)
-    flat = U.reshape(flat_shape)
-    corrected = core.apply_invariant_correction(
-        fv_metric(grid, U.shape[-2]),
-        flux.reshape(flat_shape),
-        [q.gradient(flat) for q in constraints],
-    )
-    return corrected.reshape(U.shape)
+    constraints = core.ConstraintSet.of(fv_metric(grid, U.shape[-2]), constraints)
+    return constraints.correct(flux.reshape(flat_shape), U.reshape(flat_shape)).reshape(U.shape)
 
 
 def state_integral_quantity(
     grid: FvGrid, n_fields: int, fld: int, name: str | None = None
 ) -> core.ConservedQuantity:
-    """The field integral as a batch-transparent constraint with constant
-    gradient ``|cell_i|``."""
+    """The field integral as a batch-transparent linear constraint, declared
+    by its coefficients ``|cell_i|`` on the field's cells."""
     if not 0 <= fld < n_fields:
         raise ValidationError("field index out of range")
     n = grid.n_cells
-    grad = np.zeros(n_fields * n)
-    grad[fld * n : (fld + 1) * n] = grid.widths
-    grad.setflags(write=False)
+    coefficients = np.zeros(n_fields * n)
+    coefficients[fld * n : (fld + 1) * n] = grid.widths
+    integral = core.LinearFunctional(coefficients)
     return core.ConservedQuantity(
-        name=name or f"field{fld}_integral",
-        value=lambda a: a @ grad,
-        gradient=lambda a: grad,
+        name=name or f"field{fld}_integral", value=integral, gradient=integral.gradient
     )

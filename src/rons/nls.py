@@ -594,16 +594,17 @@ def rom_rhs(a, basis: PodBasis,
     evaluated without any FFT by the basis's precomputed
     :attr:`PodBasis.reduced_operator`.  With quantities the Lagrange
     correction enforces their conservation exactly in continuous time -- the
-    invariant-constrained reduced model.  Batch-transparent: ``a`` is
-    ``(..., 2 N)`` and each member gets its own multipliers.
+    invariant-constrained reduced model.  ``quantities`` is a
+    :class:`~rons.core.ConstraintSet` prepared against the basis's metric,
+    as :func:`rom_run` builds one per run, or a plain sequence, prepared per
+    call.  Batch-transparent: ``a`` is ``(..., 2 N)`` and each member gets
+    its own multipliers.
     """
     values = basis.state_values(a)
     f = basis.reduced_operator(values)
     if not quantities:
         return f
-    return core.apply_invariant_correction(
-        basis.metric, f, [q.gradient(values) for q in quantities]
-    )
+    return core.ConstraintSet.of(basis.metric, quantities).correct(f, values)
 
 
 def rom_run(
@@ -620,8 +621,11 @@ def rom_run(
     advances ``B`` runs together, with the outputs of :func:`_run_output`.  A
     single run carries no batch axis because a leading axis of one is slower:
     the correction would treat its gradients as per-member ones and skip the
-    Python-float solve of one small system.
+    Python-float solve of one small system.  The quantities are prepared as
+    one :class:`~rons.core.ConstraintSet` for the run.
     """
+    if quantities:
+        quantities = core.ConstraintSet.of(basis.metric, quantities)
     traj = integrate(
         lambda a: rom_rhs(a, basis, quantities),
         core.state_values(a0),

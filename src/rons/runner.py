@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fv, io, nls, swe
+from . import core, fv, io, nls, swe
 from .config import RunConfig
 from .errors import ConfigError, RonsError, RonsWarning
 from .integrators import StepSchedule, integrate, step_rk4, step_ssprk3
@@ -92,7 +92,8 @@ def _swe_integrate(config, U0, grid, scheme, enforced, observer, observe_every, 
     """Advance a ``(2, n)`` state or a ``(B, 2, n)`` ensemble with the
     configured right-hand side, stepper and step rule."""
     if enforced:
-        rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, enforced)
+        constraints = core.ConstraintSet(fv.fv_metric(grid, U0.shape[-2]), enforced)
+        rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, constraints)
     else:
         rhs = lambda U: scheme.rhs(U, grid)   # every stepper checks each new state
     if config.dt is not None:

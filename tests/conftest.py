@@ -30,3 +30,13 @@ def quadratic_quantity(name, q_matrix):
         value=lambda a: float(0.5 * a @ q_matrix @ a),
         gradient=lambda a: q_matrix @ a,
     )
+
+
+def with_lambda_values(quantities):
+    """The same quantities with each value wrapped in a plain lambda, so no
+    :class:`~rons.core.ConstraintSet` sees a linear invariant and every
+    gradient row is evaluated and stacked per call."""
+    return tuple(
+        core.ConservedQuantity(q.name, lambda a, value=q.value: value(a), q.gradient)
+        for q in quantities
+    )

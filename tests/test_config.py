@@ -138,6 +138,9 @@ NLS_ENSEMBLE = {
 }
 
 
+ROM_ENSEMBLE = {**NLS_ENSEMBLE, "run": "model = nls-rom\nseeds = 0..1"}
+
+
 def ensemble_text(base=ENSEMBLE, **changes):
     """A small ensemble config (SWE unless ``base`` says otherwise) with
     whole sections replaced."""
@@ -161,6 +164,11 @@ BAD_VALUES = {
                           "sampling.bins"),
     "one-number window": (ensemble_text(sampling="window = 25"), "two numbers"),
     "three-number window": (ensemble_text(sampling="window = 0, 0.25, 0.5"), "two numbers"),
+    "no reduced modes": (ensemble_text(ROM_ENSEMBLE, nls="snapshot_cadence = 0.25\n"
+                                       "rom_modes = 0"), "nls.rom_modes"),
+    "fractional training seed": (ensemble_text(ROM_ENSEMBLE, nls="snapshot_cadence = 0.25\n"
+                                               "training_seeds = 100.7, 101"),
+                                 "nls.training_seeds"),
 }
 
 
@@ -172,6 +180,16 @@ class TestRejectedValues:
     def test_nls_base_config_is_valid(self, tmp_path):
         cfg = parse_config(write(tmp_path, ensemble_text(NLS_ENSEMBLE)))
         assert (cfg.seeds, cfg.snapshot_cadence, cfg.sample_window) == ((0, 1), 0.25, (0.0, 0.5))
+
+    def test_rom_base_config_is_valid(self, tmp_path):
+        cfg = parse_config(write(tmp_path, ensemble_text(ROM_ENSEMBLE)))
+        assert (cfg.rom_modes, cfg.training_seeds) == (9, (100, 101))
+
+    def test_whole_training_seed_written_as_float_accepted(self, tmp_path):
+        # "100.0" names seed 100; only a fractional part is rejected
+        text = ensemble_text(ROM_ENSEMBLE, nls="snapshot_cadence = 0.25\n"
+                                               "training_seeds = 100.0, 101")
+        assert parse_config(write(tmp_path, text)).training_seeds == (100, 101)
 
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_rejected_with_config_error(self, tmp_path, case):

@@ -15,7 +15,7 @@ from rons.errors import (
     ValidationError,
 )
 
-from conftest import quadratic_quantity, random_spd
+from conftest import quadratic_quantity, random_spd, with_lambda_values
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +737,83 @@ class TestBatchedCorrection:
         alone = core.apply_invariant_correction(metric, velocity, [unit])
         assert np.array_equal(out, alone)
         assert _close(out, reference_correction(metric, velocity, [unit]))
+
+
+def _symmetric_quadratic(name, rng, n):
+    """``a Q a / 2`` with a batch-transparent gradient ``a @ Q``."""
+    q = rng.standard_normal((n, n))
+    q = q + q.T
+    return core.ConservedQuantity(name, lambda a: 0.5 * np.vecdot(a @ q, a), lambda a: a @ q)
+
+
+class TestConstraintSet:
+    """A set caches the rows of its linear invariants; the result must be
+    bitwise that of stacking every gradient per call, for each metric kind."""
+
+    N = 8
+
+    def _metric(self, kind, rng):
+        if kind == "dense":
+            return core.assemble_metric(random_spd(rng, self.N))
+        if kind == "diagonal":
+            return core.MetricTensor.from_diagonal(rng.uniform(0.5, 2.0, self.N))
+        return core.MetricTensor.identity(self.N)
+
+    def _quantities(self, rng):
+        linear = core.LinearFunctional(rng.standard_normal(self.N))
+        null = core.LinearFunctional(np.zeros(self.N))   # a row that is never active
+        return (
+            core.ConservedQuantity("linear", linear, linear.gradient),
+            core.ConservedQuantity("null", null, null.gradient),
+            _symmetric_quadratic("quadratic", rng, self.N),
+        )
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "unit"])
+    def test_system_with_linear_invariant_matches_lambda_values(self, rng, kind):
+        metric = self._metric(kind, rng)
+        qs = self._quantities(rng)
+        f = rng.standard_normal(self.N)
+        cached = core.RonsSystem(metric, lambda a: f, qs)
+        plain = core.RonsSystem(metric, lambda a: f, with_lambda_values(qs))
+        # the zero state makes the quadratic row inactive; later states must
+        # not see what an earlier call wrote into the set's rows
+        states = [rng.standard_normal(self.N), np.zeros(self.N), rng.standard_normal(self.N)]
+        for a in states:
+            want = core.grons_rhs(a, plain)
+            assert core.grons_rhs(a, cached).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "unit"])
+    def test_batched_call_matches_lambda_values(self, rng, kind):
+        metric = self._metric(kind, rng)
+        qs = self._quantities(rng)
+        cached = core.ConstraintSet(metric, qs)
+        plain = core.ConstraintSet(metric, with_lambda_values(qs))
+        states = rng.standard_normal((4, self.N))
+        states[2] = 0.0   # one member's quadratic row inactive
+        velocity = rng.standard_normal((4, self.N))
+        want = plain.correct(velocity, states)
+        assert cached.correct(velocity, states).tobytes() == want.tobytes()
+
+    def test_is_a_sequence_of_its_quantities(self, rng):
+        qs = self._quantities(rng)
+        prepared = core.ConstraintSet(core.MetricTensor.identity(self.N), qs)
+        assert len(prepared) == 3 and tuple(prepared) == qs
+        assert core.ConstraintSet.of(prepared.metric, prepared) is prepared
+        other = core.MetricTensor.identity(self.N)
+        assert core.ConstraintSet.of(other, prepared).metric is other
+
+    def test_more_constraints_than_parameters_rejected(self, rng):
+        qs = self._quantities(rng)
+        with pytest.raises(ValidationError):
+            core.ConstraintSet(core.MetricTensor.identity(2), qs)
+
+    def test_linear_value_is_the_dot_product(self, rng):
+        c = rng.standard_normal(self.N)
+        a = rng.standard_normal((3, self.N))
+        linear = core.LinearFunctional(c)
+        assert linear(a).tobytes() == (a @ c).tobytes()
+        assert np.array_equal(linear.gradient(a), c)
+        assert not linear.coefficients.flags.writeable
 
 
 def reference_correction(metric, velocity, gradients, tol=core.DEGENERACY_TOL):

@@ -6,6 +6,8 @@ from rons import core, fv, swe
 from rons.errors import DivergenceError, ValidationError
 from rons.integrators import StepSchedule, integrate, step_rk4, step_ssprk3
 
+from conftest import with_lambda_values
+
 
 class TestBuildGrid:
     def test_benchmark_resolution(self):
@@ -203,6 +205,68 @@ class TestFvRonsDivergence:
             with np.errstate(invalid="ignore", over="ignore"):
                 integrate(rhs, U0, StepSchedule(t_final=1.0, dt=0.01), stepper=stepper)
         assert info.value.time == pytest.approx(0.01)
+
+
+def _moving_states(grid, config, first):
+    """Three random-wave states with a nonzero velocity field."""
+    U = np.stack([swe.random_oscillatory_ic(s, grid, config) for s in range(first, first + 3)])
+    U[:, 1] = 0.3 * np.roll(U[:, 0], 5, axis=-1)
+    return U
+
+
+class TestPreparedConstraintSet:
+    """FV-RONS with the state integrals' rows prepared once per run against
+    the same integrals given as plain lambdas, stacked per call."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batched"])
+    def test_cached_rows_match_lambda_integrals_bitwise(self, batch):
+        config, grid, scheme = _swe_setup()
+        quantities = swe.swe_quantities(grid, config)
+        prepared = core.ConstraintSet(fv.fv_metric(grid, 2), quantities)
+        plain = with_lambda_values(quantities)
+        for first in (0, 3, 6):   # one set over several states: no stale rows
+            U = _moving_states(grid, config, first)
+            U = U if batch else U[0]
+            want = fv.fvrons_rhs(U, scheme, grid, plain)
+            assert fv.fvrons_rhs(U, scheme, grid, prepared).tobytes() == want.tobytes()
+            assert fv.fvrons_rhs(U, scheme, grid, quantities).tobytes() == want.tobytes()
+
+    def test_inactive_energy_row_at_rest_matches_lambda_integrals(self, rng):
+        # lake at rest: the energy gradient vanishes, so its row is dropped
+        # for that state, then written again for the next one
+        config, grid, scheme = _swe_setup()
+        quantities = swe.swe_quantities(grid, config)
+        metric = fv.fv_metric(grid, 2)
+        prepared = core.ConstraintSet(metric, quantities)
+        plain = core.ConstraintSet(metric, with_lambda_values(quantities))
+        rest = swe.lake_at_rest_ic(grid).reshape(-1)
+        assert not quantities[2].gradient(rest).any()
+        moving = _moving_states(grid, config, 0)[0].reshape(-1)
+        for state in (rest, moving, rest):
+            velocity = rng.standard_normal(state.shape)
+            want = plain.correct(velocity, state)
+            assert prepared.correct(velocity, state).tobytes() == want.tobytes()
+
+    def test_rebuilt_quantities_keep_the_cached_rows(self):
+        # perfbench rebuilds each quantity from its name, value and gradient;
+        # the value carries the linear declaration, so only the energy
+        # gradient is evaluated per call
+        config, grid, scheme = _swe_setup()
+        calls = []
+
+        def counted(q):
+            def gradient(a):
+                calls.append(q.name)
+                return q.gradient(a)
+            return core.ConservedQuantity(q.name, q.value, gradient)
+
+        quantities = swe.swe_quantities(grid, config)
+        prepared = core.ConstraintSet(fv.fv_metric(grid, 2), [counted(q) for q in quantities])
+        U = _moving_states(grid, config, 0)
+        for state in (U[0], U):
+            want = fv.fvrons_rhs(state, scheme, grid, with_lambda_values(quantities))
+            assert fv.fvrons_rhs(state, scheme, grid, prepared).tobytes() == want.tobytes()
+        assert calls == ["total_energy", "total_energy"]
 
 
 def field_integral(grid, U, fld):

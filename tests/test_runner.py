@@ -8,6 +8,8 @@ from rons.config import RunConfig, parse_config
 from rons.integrators import StepSchedule, integrate, step_ssprk3
 from rons.runner import run_experiment, write_outputs
 
+from conftest import with_lambda_values
+
 
 def make_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
@@ -70,6 +72,27 @@ class TestSweSingleRun:
         write_outputs(run_experiment(cfg2), out2, "csv")
         for name in ("invariants.csv", "metrics.json", "warnings.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestPreparedConstraintSet:
+    def test_linear_declared_and_lambda_integrals_write_identical_files(
+            self, tmp_path, monkeypatch):
+        # the swe-pulse FV-RONS run of the benchmark: 1024 cells, t = 2
+        config = RunConfig(
+            model="swe", scheme="fv-rons", cells=1024, horizon=2.0, swe_ic="gaussian",
+            snapshot_times=(0.0, 0.5, 2.0), stepper="ssprk3", cadence=1.0,
+        ).validate()
+
+        def files(out):
+            paths = write_outputs(run_experiment(config), out)
+            return {p.relative_to(out): p.read_bytes() for p in paths
+                    if p.name != "telemetry.json"}
+
+        declared = files(tmp_path / "declared")
+        linear_quantities = swe.swe_quantities
+        monkeypatch.setattr(swe, "swe_quantities",
+                            lambda *args: with_lambda_values(linear_quantities(*args)))
+        assert files(tmp_path / "lambdas") == declared
 
 
 class TestSweEnsemble:
