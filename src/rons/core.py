@@ -728,10 +728,10 @@ def apply_invariant_correction(
     return out
 
 
-class ConstraintSet:
+class ConstraintSet(tuple):
     """The invariants enforced on one run, prepared once against its metric.
 
-    A sequence of its quantities.  The rows of the linear ones (whose value
+    A tuple of its quantities.  The rows of the linear ones (whose value
     is a :class:`LinearFunctional`) are constant: they are stacked, tested
     for degeneracy and solved through ``M^{-1}`` here, once, so that
     :meth:`correct` computes only what depends on the state.
@@ -752,13 +752,15 @@ class ConstraintSet:
     call, so a set serves one run at a time.
     """
 
+    def __new__(cls, metric: MetricTensor, quantities: Sequence[ConservedQuantity] = ()):
+        return super().__new__(cls, quantities)
+
     def __init__(self, metric: MetricTensor, quantities: Sequence[ConservedQuantity] = ()):
         self.metric = metric
-        self.quantities = tuple(quantities)
-        if len(self.quantities) > metric.size:
+        if len(self) > metric.size:
             raise ValidationError("more constraints than parameters")
         linear = [q.value.coefficients if isinstance(q.value, LinearFunctional) else None
-                  for q in self.quantities]
+                  for q in self]
         self._g = None
         if all(c is None for c in linear):
             return
@@ -767,7 +769,7 @@ class ConstraintSet:
                 f"linear invariant coefficients must match metric size {metric.size}"
             )
         # an inactive linear row is inactive at every state, so it never enters
-        kept = [(q, c) for q, c in zip(self.quantities, linear) if c is None or _is_active(c)]
+        kept = [(q, c) for q, c in zip(self, linear) if c is None or _is_active(c)]
         fixed = [c for _, c in kept if c is not None]
         # batched calls: the active linear rows as the kernel's shared block
         self._shared = None
@@ -799,18 +801,12 @@ class ConstraintSet:
             return quantities
         return cls(metric, quantities)
 
-    def __len__(self) -> int:
-        return len(self.quantities)
-
-    def __iter__(self):
-        return iter(self.quantities)
-
     def correct(self, velocity: np.ndarray, state: np.ndarray) -> np.ndarray:
         """:func:`apply_invariant_correction` of ``velocity`` with the
         gradients at ``state``, a ``(w,)`` vector or a ``(..., w)`` batch."""
         if self._g is None:
             return apply_invariant_correction(
-                self.metric, velocity, [q.gradient(state) for q in self.quantities]
+                self.metric, velocity, [q.gradient(state) for q in self]
             )
         if state.ndim > 1:
             own = [gradient(state) for gradient in self._own]

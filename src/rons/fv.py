@@ -108,12 +108,12 @@ def fvrons_rhs(
     ``dU/dt = F(U) - sum_k lambda_k M^{-1} grad I_k`` with the grid's
     diagonal cell metric (:func:`fv_metric`).  ``constraints`` is a
     :class:`~rons.core.ConstraintSet` prepared against that metric once per
-    run, or a plain sequence of quantities, prepared per call.  Batch-transparent: ``U`` is
-    ``(..., p, n)`` and each member gets its own multipliers, with
-    degenerate gradients masked member by member.  The constraint gradients
-    receive the flattened ``(..., p * n)`` states.  With an empty (or fully
-    degenerate) constraint list the result is the plain :func:`fv_rhs`
-    output, bit for bit.  The flux comes from ``scheme.rhs`` unchecked: the
+    run, or a plain sequence of quantities, prepared per call.
+    Batch-transparent: ``U`` is ``(..., p, n)`` and each member gets its own
+    multipliers, with degenerate gradients masked member by member.  The
+    constraint gradients receive the flattened ``(..., p * n)`` states.  With
+    an empty (or fully degenerate) constraint list the result is the plain
+    :func:`fv_rhs` output, bit for bit.  The flux comes from ``scheme.rhs`` unchecked: the
     steppers check each new state once.
     """
     flux = np.asarray(scheme.rhs(U, grid))

@@ -624,8 +624,7 @@ def rom_run(
     Python-float solve of one small system.  The quantities are prepared as
     one :class:`~rons.core.ConstraintSet` for the run.
     """
-    if quantities:
-        quantities = core.ConstraintSet.of(basis.metric, quantities)
+    quantities = core.ConstraintSet.of(basis.metric, quantities)
     traj = integrate(
         lambda a: rom_rhs(a, basis, quantities),
         core.state_values(a0),
