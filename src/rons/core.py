@@ -416,7 +416,11 @@ def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
 @dataclass
 class RonsSystem:
     """Metric, projected right-hand side and the invariants to enforce,
-    prepared as one :class:`ConstraintSet` at construction."""
+    prepared as one :class:`ConstraintSet` at construction.
+
+    The set rewrites its stacks on every call, so a system serves one run at
+    a time: concurrent :func:`grons_rhs` calls need a system each.
+    """
 
     metric: MetricTensor
     rhs: Callable[[np.ndarray], np.ndarray]
@@ -611,13 +615,13 @@ def _shared_block(metric: MetricTensor, gradients):
     """Stack gradients shared by the whole batch, each ``(w,)``, once.
 
     Drops the inactive ones and applies ``M^{-1}`` once.  Returns ``G_s`` and
-    ``M^{-1} G_s``, both ``(m_s, w)``, and ``None`` for ``C_ss``.
+    ``M^{-1} G_s``, both ``(m_s, w)``.
     """
     g = np.array(gradients, dtype=float)
     active = _is_active(g)
     if not active.all():
         g = g[active]
-    return g, metric.solve(g), None
+    return g, metric.solve(g)
 
 
 def apply_invariant_correction(
@@ -647,9 +651,9 @@ def apply_invariant_correction(
     ``velocity - lambda_o . M^{-1} G_o - lambda_s @ M^{-1} G_s``.
 
     ``shared`` is that block already built, as a :class:`ConstraintSet`
-    keeps it: ``(G_s, M^{-1} G_s, C_ss)`` of active rows only, with
-    ``C_ss`` computed here when it is ``None``.  ``gradients`` then lists
-    the per-member gradients alone.  The block is read, never written.
+    keeps it for an unbatched call: ``(G_s, M^{-1} G_s)`` of active rows
+    only, read and never written.  ``gradients`` then lists the per-member
+    gradients alone.
     """
     velocity = np.asarray(velocity, dtype=float)
     if shared is None:
@@ -664,18 +668,17 @@ def apply_invariant_correction(
         own = gradients
     m_s = 0
     if shared is not None:
-        g_s, solved_s, c_ss = shared
+        g_s, solved_s = shared
         m_s = len(g_s)
-        if m_s and c_ss is None:
-            c_ss = solved_s @ g_s.T
     if not own:
         if not m_s:
             return velocity
+        c = solved_s @ g_s.T
         if velocity.ndim == 1:
-            c, b = c_ss, velocity @ g_s.T
+            b = velocity @ g_s.T
         else:
             b = np.vecdot(velocity[..., None, :], g_s)
-            c = np.broadcast_to(c_ss, b.shape + (m_s,))
+            c = np.broadcast_to(c, b.shape + (m_s,))
         return velocity - solve_lagrange(c, b) @ solved_s
 
     # per-member gradients stacked along axis -2: a view of a lone one
@@ -699,7 +702,7 @@ def apply_invariant_correction(
         c = np.empty(velocity.shape[:-1] + (m, m))
         b = np.empty(velocity.shape[:-1] + (m,))
         cross = np.vecdot(g_o[..., :, None, :], solved_s)
-        c[..., :m_s, :m_s] = c_ss
+        c[..., :m_s, :m_s] = solved_s @ g_s.T
         c[..., m_s:, :m_s] = cross
         c[..., :m_s, m_s:] = cross.swapaxes(-1, -2)
         c[..., m_s:, m_s:] = c_oo
@@ -733,23 +736,19 @@ class ConstraintSet(tuple):
 
     A tuple of its quantities.  The rows of the linear ones (whose value
     is a :class:`LinearFunctional`) are constant: they are stacked, tested
-    for degeneracy and solved through ``M^{-1}`` here, once, so that
-    :meth:`correct` computes only what depends on the state.
-
-    * An unbatched state fills the varying rows of the ``(m, w)`` stacks
-      ``G`` and ``M^{-1} G`` (active linear rows and every other row, in
-      quantity order) in place: the gradient, its degeneracy test and, for a
-      diagonal metric, its row of the elementwise solve.  A dense metric
-      solves the whole stack per call.  A varying row that is inactive at
-      this state falls back to the kernel's drop-and-stack path.
-    * A batched state passes the cached ``G_s``, ``M^{-1} G_s`` and ``C_ss``
-      of the linear rows to the kernel beside the others' gradients, which
-      it takes as per-member ones.
+    for degeneracy and solved through ``M^{-1}`` here, once, so that an
+    unbatched :meth:`correct` computes only what depends on the state.  It
+    fills the varying rows of the ``(m, w)`` stacks ``G`` and ``M^{-1} G``
+    (active linear rows and every other row, in quantity order) in place:
+    the gradient, its degeneracy test and, for a diagonal metric, its row of
+    the elementwise solve.  A dense metric solves the whole stack per call.
+    A varying row that is inactive at this state falls back to the kernel's
+    drop-and-stack path, and so does every batched state.
 
     Either way the result is bitwise the kernel's on the plain gradient
-    list of batch-transparent gradients; with no linear quantity
-    :meth:`correct` is that kernel call.  The stacks are rewritten by every
-    call, so a set serves one run at a time.
+    list; with no linear quantity :meth:`correct` is that kernel call.  The
+    stacks are rewritten by every call, so a set serves one run at a time.
+    Copies and pickles are prepared afresh from the metric and quantities.
     """
 
     def __new__(cls, metric: MetricTensor, quantities: Sequence[ConservedQuantity] = ()):
@@ -770,16 +769,6 @@ class ConstraintSet(tuple):
             )
         # an inactive linear row is inactive at every state, so it never enters
         kept = [(q, c) for q, c in zip(self, linear) if c is None or _is_active(c)]
-        fixed = [c for _, c in kept if c is not None]
-        # batched calls: the active linear rows as the kernel's shared block
-        self._shared = None
-        if fixed:
-            g_s, solved_s, _ = _shared_block(metric, fixed)
-            c_ss = solved_s @ g_s.T
-            c_ss.setflags(write=False)
-            self._shared = (g_s, solved_s, c_ss)
-        self._own = tuple(q.gradient for q, c in kept if c is None)
-        # unbatched calls: G and M^-1 G, whose varying rows each call writes
         self._g = np.zeros((len(kept), metric.size))
         for row, (_, c) in zip(self._g, kept):
             if c is not None:
@@ -793,6 +782,11 @@ class ConstraintSet(tuple):
             for k, (q, c) in enumerate(kept) if c is None
         )
 
+    def __reduce__(self):
+        # tuple's default would pass the quantities as the metric and keep
+        # the stacks' row views detached from the stacks
+        return type(self), (self.metric, tuple(self))
+
     @classmethod
     def of(cls, metric: MetricTensor, quantities) -> "ConstraintSet":
         """``quantities`` itself when it is a set prepared against ``metric``,
@@ -804,13 +798,10 @@ class ConstraintSet(tuple):
     def correct(self, velocity: np.ndarray, state: np.ndarray) -> np.ndarray:
         """:func:`apply_invariant_correction` of ``velocity`` with the
         gradients at ``state``, a ``(w,)`` vector or a ``(..., w)`` batch."""
-        if self._g is None:
+        if self._g is None or state.ndim > 1:
             return apply_invariant_correction(
                 self.metric, velocity, [q.gradient(state) for q in self]
             )
-        if state.ndim > 1:
-            own = [gradient(state) for gradient in self._own]
-            return apply_invariant_correction(self.metric, velocity, own, self._shared)
         for gradient, row, _ in self._varying:
             row[:] = gradient(state)
         for _, row, solved_row in self._varying:
@@ -819,7 +810,7 @@ class ConstraintSet(tuple):
             if solved_row is not None:
                 np.divide(row, self._diag, out=solved_row)
         solved = self.metric.solve(self._g) if self._solve_all else self._solved
-        return apply_invariant_correction(self.metric, velocity, (), (self._g, solved, None))
+        return apply_invariant_correction(self.metric, velocity, (), (self._g, solved))
 
 
 def grons_rhs(a, system: RonsSystem) -> np.ndarray:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 from unittest import mock
 
@@ -746,6 +748,14 @@ def _symmetric_quadratic(name, rng, n):
     return core.ConservedQuantity(name, lambda a: 0.5 * np.vecdot(a @ q, a), lambda a: a @ q)
 
 
+def _squared_norm(a):
+    return np.vecdot(a, a)
+
+
+def _squared_norm_gradient(a):
+    return 2.0 * a
+
+
 class TestConstraintSet:
     """A set caches the rows of its linear invariants; the result must be
     bitwise that of stacking every gradient per call, for each metric kind."""
@@ -801,6 +811,28 @@ class TestConstraintSet:
         assert core.ConstraintSet.of(prepared.metric, prepared) is prepared
         other = core.MetricTensor.identity(self.N)
         assert core.ConstraintSet.of(other, prepared).metric is other
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_is_prepared_afresh(self, rng, clone):
+        # pins the round trip: tuple's default would rebuild an empty set
+        # (no correction at all) or keep row views detached from the stacks
+        metric = self._metric("diagonal", rng)
+        linear = core.LinearFunctional(rng.standard_normal(self.N))
+        qs = (
+            core.ConservedQuantity("linear", linear, linear.gradient),
+            core.ConservedQuantity("norm", _squared_norm, _squared_norm_gradient),
+        )
+        prepared = core.ConstraintSet(metric, qs)
+        copied = clone(prepared)
+        assert type(copied) is core.ConstraintSet and len(copied) == 2
+        velocity, state = rng.standard_normal((2, self.N))
+        want = prepared.correct(velocity, state)
+        assert not np.array_equal(want, velocity)
+        assert copied.correct(velocity, state).tobytes() == want.tobytes()
 
     def test_more_constraints_than_parameters_rejected(self, rng):
         qs = self._quantities(rng)

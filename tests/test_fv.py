@@ -249,8 +249,8 @@ class TestPreparedConstraintSet:
 
     def test_rebuilt_quantities_keep_the_cached_rows(self):
         # perfbench rebuilds each quantity from its name, value and gradient;
-        # the value carries the linear declaration, so only the energy
-        # gradient is evaluated per call
+        # the value carries the linear declaration, so an unbatched call
+        # evaluates only the energy gradient (a batched one stacks them all)
         config, grid, scheme = _swe_setup()
         calls = []
 
@@ -263,7 +263,7 @@ class TestPreparedConstraintSet:
         quantities = swe.swe_quantities(grid, config)
         prepared = core.ConstraintSet(fv.fv_metric(grid, 2), [counted(q) for q in quantities])
         U = _moving_states(grid, config, 0)
-        for state in (U[0], U):
+        for state in (U[0], U[1]):
             want = fv.fvrons_rhs(state, scheme, grid, with_lambda_values(quantities))
             assert fv.fvrons_rhs(state, scheme, grid, prepared).tobytes() == want.tobytes()
         assert calls == ["total_energy", "total_energy"]
