@@ -14,8 +14,8 @@ import numpy as np
 
 from rons import (
     ConservedQuantity,
+    ConstraintSet,
     ParameterLayout,
-    RonsSystem,
     assemble_metric,
     assemble_rhs,
     complexify_metric,
@@ -29,15 +29,16 @@ radius = ConservedQuantity(
     value=lambda a: float(a @ a),
     gradient=lambda a: 2.0 * a,
 )
-system = RonsSystem(
-    metric=assemble_metric(np.eye(2)),
-    rhs=lambda a: np.array([1.0, 1.0]),
-    constraints=(radius,),
-)
+constraints = ConstraintSet(assemble_metric(np.eye(2)), (radius,))
+
+
+def rhs(a):
+    return np.array([1.0, 1.0])
+
 
 a = np.array([1.0, 0.0])
-unconstrained = system.metric.solve(system.rhs(a))
-constrained = grons_rhs(a, system)
+unconstrained = constraints.metric.solve(rhs(a))
+constrained = grons_rhs(a, rhs, constraints)
 
 print("state a                 :", a)
 print("unconstrained velocity  :", unconstrained, " (radial rate", 2 * a @ unconstrained, ")")
@@ -48,7 +49,7 @@ print("constrained velocity    :", constrained, " (radial rate", 2 * a @ constra
 dt, steps = 1e-3, 5000
 state = a.copy()
 for _ in range(steps):
-    state = state + dt * grons_rhs(state, system)
+    state = state + dt * grons_rhs(state, rhs, constraints)
 print(f"after {steps} Euler steps: |a| = {np.linalg.norm(state):.12f}  (exactly 1 up to O(dt))")
 
 # --- complex coefficients as stacked real vectors ---------------------------

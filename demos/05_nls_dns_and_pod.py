@@ -39,7 +39,7 @@ for i in range(9):
     print(f"{i + 1:4d}  {basis.singular_values[i]:9.4f}  {cumulative[i] * 100:6.2f}%")
 
 OUT.mkdir(parents=True, exist_ok=True)
-io.save_snapshots(OUT / "training_snapshots.npz", series, "npz")
+io.save_snapshots(OUT / "training_snapshots.npz", series)
 io.save_pod_basis(OUT / "basis.npz", basis)
 print(f"\nsnapshots and basis written under {OUT}")
 

@@ -24,7 +24,6 @@ from .core import (
     MetricTensor,
     ParameterLayout,
     ParameterState,
-    RonsSystem,
     assemble_block_metric,
     assemble_metric,
     assemble_rhs,
@@ -44,7 +43,6 @@ __all__ = [
     "MetricTensor",
     "ParameterLayout",
     "ParameterState",
-    "RonsSystem",
     "assemble_block_metric",
     "assemble_metric",
     "assemble_rhs",

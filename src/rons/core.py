@@ -413,23 +413,6 @@ def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
 # Constrained systems
 
 
-@dataclass
-class RonsSystem:
-    """Metric, projected right-hand side and the invariants to enforce,
-    prepared as one :class:`ConstraintSet` at construction.
-
-    The set rewrites its stacks on every call, so a system serves one run at
-    a time: concurrent :func:`grons_rhs` calls need a system each.
-    """
-
-    metric: MetricTensor
-    rhs: Callable[[np.ndarray], np.ndarray]
-    constraints: "ConstraintSet" = ()
-
-    def __post_init__(self):
-        self.constraints = ConstraintSet(self.metric, self.constraints)
-
-
 def _is_active(gradients: np.ndarray) -> np.ndarray:
     """Whether each gradient (last axis) has Euclidean norm above
     :data:`DEGENERACY_TOL`.
@@ -734,21 +717,22 @@ def apply_invariant_correction(
 class ConstraintSet(tuple):
     """The invariants enforced on one run, prepared once against its metric.
 
-    A tuple of its quantities.  The rows of the linear ones (whose value
-    is a :class:`LinearFunctional`) are constant: they are stacked, tested
-    for degeneracy and solved through ``M^{-1}`` here, once, so that an
-    unbatched :meth:`correct` computes only what depends on the state.  It
-    fills the varying rows of the ``(m, w)`` stacks ``G`` and ``M^{-1} G``
-    (active linear rows and every other row, in quantity order) in place:
-    the gradient, its degeneracy test and, for a diagonal metric, its row of
-    the elementwise solve.  A dense metric solves the whole stack per call.
-    A varying row that is inactive at this state falls back to the kernel's
-    drop-and-stack path, and so does every batched state.
+    A tuple of its quantities, and the package's one constraint object: an
+    empty set is the unconstrained system.  It keeps the ``(m, w)`` stacks
+    ``G`` and ``M^{-1} G`` of its rows in quantity order.  The rows of the
+    linear quantities (whose value is a :class:`LinearFunctional`) are
+    constant: they are stacked, tested for degeneracy and solved through
+    ``M^{-1}`` here, once, and an inactive one never enters.  An unbatched
+    :meth:`correct` writes each varying row in place, tests it for activity
+    and, for a diagonal metric, divides it into its row of ``M^{-1} G``; a
+    dense metric solves the stack per call.  When some varying row vanished
+    at this state, the stacks are masked to the active rows after every row
+    is written.  A batched state goes through the kernel's own split.
 
     Either way the result is bitwise the kernel's on the plain gradient
-    list; with no linear quantity :meth:`correct` is that kernel call.  The
-    stacks are rewritten by every call, so a set serves one run at a time.
-    Copies and pickles are prepared afresh from the metric and quantities.
+    list.  The stacks are rewritten by every call, so a set serves one run
+    at a time.  Copies and pickles are prepared afresh from the metric and
+    quantities.
     """
 
     def __new__(cls, metric: MetricTensor, quantities: Sequence[ConservedQuantity] = ()):
@@ -760,9 +744,6 @@ class ConstraintSet(tuple):
             raise ValidationError("more constraints than parameters")
         linear = [q.value.coefficients if isinstance(q.value, LinearFunctional) else None
                   for q in self]
-        self._g = None
-        if all(c is None for c in linear):
-            return
         if any(c is not None and c.shape != (metric.size,) for c in linear):
             raise DimensionError(
                 f"linear invariant coefficients must match metric size {metric.size}"
@@ -778,7 +759,7 @@ class ConstraintSet(tuple):
         self._diag = metric._diag
         elementwise = self._solved is not self._g and not self._solve_all
         self._varying = tuple(
-            (q.gradient, self._g[k], self._solved[k] if elementwise else None)
+            (k, q.gradient, self._g[k], self._solved[k] if elementwise else None)
             for k, (q, c) in enumerate(kept) if c is None
         )
 
@@ -798,30 +779,38 @@ class ConstraintSet(tuple):
     def correct(self, velocity: np.ndarray, state: np.ndarray) -> np.ndarray:
         """:func:`apply_invariant_correction` of ``velocity`` with the
         gradients at ``state``, a ``(w,)`` vector or a ``(..., w)`` batch."""
-        if self._g is None or state.ndim > 1:
+        if state.ndim > 1:
             return apply_invariant_correction(
                 self.metric, velocity, [q.gradient(state) for q in self]
             )
-        for gradient, row, _ in self._varying:
+        vanished = []
+        for k, gradient, row, solved_row in self._varying:
             row[:] = gradient(state)
-        for _, row, solved_row in self._varying:
             if not _is_active(row):
-                return apply_invariant_correction(self.metric, velocity, self._g)
-            if solved_row is not None:
+                vanished.append(k)
+            elif solved_row is not None:
                 np.divide(row, self._diag, out=solved_row)
-        solved = self.metric.solve(self._g) if self._solve_all else self._solved
-        return apply_invariant_correction(self.metric, velocity, (), (self._g, solved))
+        g, solved = self._g, self._solved
+        if vanished:
+            keep = np.ones(len(g), dtype=bool)
+            keep[vanished] = False
+            g, solved = g[keep], solved[keep]
+        if self._solve_all:
+            solved = self.metric.solve(g)
+        return apply_invariant_correction(self.metric, velocity, (), (g, solved))
 
 
-def grons_rhs(a, system: RonsSystem) -> np.ndarray:
+def grons_rhs(a, rhs: Callable[[np.ndarray], np.ndarray],
+              constraints: ConstraintSet) -> np.ndarray:
     """Constrained time derivative ``M a' = f - sum_k lambda_k grad I_k``.
 
-    With no active constraints this is exactly the classical Galerkin solve
-    ``M a' = f`` (identical code path, hence bitwise identical results).
-    Along the returned direction every active invariant has zero rate of
-    change up to the linear-solve tolerance.
+    ``f = rhs(a)`` is the projected right-hand side, and ``constraints``
+    holds the metric ``M`` and the invariants.  With no active constraints
+    (``ConstraintSet(metric)`` included) this is exactly the classical
+    Galerkin solve ``M a' = f`` (identical code path, hence bitwise identical
+    results).  Along the returned direction every active invariant has zero
+    rate of change up to the linear-solve tolerance.
     """
     a = state_values(a)
-    velocity = system.metric.solve(np.asarray(system.rhs(a), dtype=float))
-    return ConstraintSet.of(system.metric, system.constraints).correct(velocity, a)
-
+    velocity = constraints.metric.solve(np.asarray(rhs(a), dtype=float))
+    return constraints.correct(velocity, a)

@@ -74,19 +74,19 @@ def write_field_csv(path, x, fields: dict):
 # Snapshot series containers (complex fields)
 
 
-def save_snapshots(path, series: SnapshotSeries, fmt: str | None = None):
-    """Persist a snapshot series; format from ``fmt`` or the file suffix.
+def save_snapshots(path, series: SnapshotSeries):
+    """Persist a snapshot series in the format of the file suffix, as
+    :func:`load_snapshots` reads it back.
 
-    ``csv`` and ``json`` are self-describing text containers with the domain
-    length recorded; ``npz`` is the compact binary option.
+    ``.json`` and CSV (any other suffix) are self-describing text containers
+    with the domain length recorded; ``.npz`` is the compact binary option.
     """
     path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".") or "csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "npz":
+    if path.suffix == ".npz":
         np.savez(path, times=series.times, snapshots=series.snapshots,
                  length=series.length)
-    elif fmt == "json":
+    elif path.suffix == ".json":
         write_json(path, {
             "kind": "snapshot-series",
             "length": series.length,
@@ -94,7 +94,7 @@ def save_snapshots(path, series: SnapshotSeries, fmt: str | None = None):
             "real": [[format_float(v) for v in row] for row in series.snapshots.real],
             "imag": [[format_float(v) for v in row] for row in series.snapshots.imag],
         })
-    elif fmt == "csv":
+    else:
         n = series.snapshots.shape[1]
         with open(path, "w") as fh:
             fh.write("# snapshot-series\n")
@@ -109,8 +109,6 @@ def save_snapshots(path, series: SnapshotSeries, fmt: str | None = None):
                 for v in row:
                     vals += [format_float(v.real), format_float(v.imag)]
                 fh.write(",".join(vals) + "\n")
-    else:
-        raise ValidationError(f"unknown snapshot format {fmt!r}")
 
 
 def load_snapshots(path) -> SnapshotSeries:

@@ -499,13 +499,15 @@ def compute_pod(snapshots: np.ndarray, n_modes: int, length: float) -> PodBasis:
 
     ``snapshots`` is (n_times, n_grid).  Modes are scaled to unit discrete
     norm; singular values are returned for energy-capture diagnostics.
-    Requesting more modes than the numerical rank raises :class:`RankError`
-    naming the usable count.
+    Fewer than one mode raises :class:`ValidationError`; more modes than the
+    numerical rank raises :class:`RankError` naming the usable count.
     """
     snaps = np.asarray(snapshots, dtype=complex)
     if snaps.ndim != 2:
         raise DimensionError("snapshot matrix must be 2-d (n_times, n_grid)")
     n_times, n_grid = snaps.shape
+    if n_modes < 1:
+        raise ValidationError(f"need at least one POD mode, got {n_modes}")
     if n_times < n_modes:
         raise RankError(f"{n_times} snapshots cannot support {n_modes} modes")
     dx = length / n_grid

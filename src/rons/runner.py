@@ -381,7 +381,7 @@ def write_outputs(record: RunRecord, out_dir, fmt: str = "csv") -> list[Path]:
 
     if record.snapshot_series is not None:
         path = out / f"snapshots.{fmt}"
-        io.save_snapshots(path, record.snapshot_series, fmt=fmt)
+        io.save_snapshots(path, record.snapshot_series)
         written.append(path)
 
     if record.histogram is not None:

@@ -34,8 +34,9 @@ def quadratic_quantity(name, q_matrix):
 
 def with_lambda_values(quantities):
     """The same quantities with each value wrapped in a plain lambda, so no
-    :class:`~rons.core.ConstraintSet` sees a linear invariant and every
-    gradient row is evaluated and stacked per call."""
+    :class:`~rons.core.ConstraintSet` sees a linear invariant: every row is
+    evaluated per call, and an all-zero linear row is tested at each state
+    instead of dropped once."""
     return tuple(
         core.ConservedQuantity(q.name, lambda a, value=q.value: value(a), q.gradient)
         for q in quantities

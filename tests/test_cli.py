@@ -127,7 +127,7 @@ class TestPodCommand:
         length = 16 * np.pi
         series, _ = nls.dns_run(nls.nls_random_ic(100, length, 64), 10.0, 0.5)
         snap_path = tmp_path / "snaps.npz"
-        io.save_snapshots(snap_path, series, "npz")
+        io.save_snapshots(snap_path, series)
         out = tmp_path / "basis.json"
         code = main(["pod", str(snap_path), "--modes", "3", "--out", str(out)])
         assert code == 0
@@ -140,9 +140,19 @@ class TestPodCommand:
             np.arange(8.0), np.tile(np.exp(1j * np.arange(32)), (8, 1)), length
         )
         path = tmp_path / "flat.npz"
-        io.save_snapshots(path, constant, "npz")
+        io.save_snapshots(path, constant)
         assert main(["pod", str(path), "--modes", "2",
                      "--out", str(tmp_path / "b.json")]) == 2
+
+    @pytest.mark.parametrize("modes", ["0", "-2"])
+    def test_fewer_than_one_mode_exit_one(self, tmp_path, capsys, rng, modes):
+        u = 0.1 * (rng.standard_normal((30, 64)) + 1j * rng.standard_normal((30, 64)))
+        path = tmp_path / "snaps.npz"
+        io.save_snapshots(path, nls.SnapshotSeries(np.arange(30.0), u, 16 * np.pi))
+        out = tmp_path / "basis.json"
+        assert main(["pod", str(path), "--modes", modes, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestMetricsCommand:
@@ -151,8 +161,8 @@ class TestMetricsCommand:
         truth = nls.SnapshotSeries(np.arange(6.0), u, 10.0)
         rom = nls.SnapshotSeries(np.arange(6.0), u * (1 + 1e-3), 10.0)
         t_path, r_path = tmp_path / "t.npz", tmp_path / "r.npz"
-        io.save_snapshots(t_path, truth, "npz")
-        io.save_snapshots(r_path, rom, "npz")
+        io.save_snapshots(t_path, truth)
+        io.save_snapshots(r_path, rom)
         out = tmp_path / "metrics.json"
         code = main(["metrics", str(t_path), str(r_path), "--out", str(out)])
         assert code == 0
@@ -165,6 +175,6 @@ class TestMetricsCommand:
         a = nls.SnapshotSeries(np.arange(4.0), u, 10.0)
         b = nls.SnapshotSeries(np.arange(4.0) + 0.5, u, 10.0)
         pa, pb = tmp_path / "a.npz", tmp_path / "b.npz"
-        io.save_snapshots(pa, a, "npz")
-        io.save_snapshots(pb, b, "npz")
+        io.save_snapshots(pa, a)
+        io.save_snapshots(pb, b)
         assert main(["metrics", str(pa), str(pb)]) == 1

@@ -243,10 +243,10 @@ class TestAssembleRhs:
 # Constraint machinery
 
 
-def _unit_circle_system():
+def _unit_circle_constraints():
     metric = core.assemble_metric(np.eye(2))
     quantity = quadratic_quantity("radius", 2.0 * np.eye(2))  # a1^2 + a2^2
-    return core.RonsSystem(metric, lambda a: np.array([1.0, 1.0]), (quantity,))
+    return core.ConstraintSet(metric, (quantity,))
 
 
 class TestSolveLagrange:
@@ -526,20 +526,22 @@ class TestUnitMetric:
 
 class TestGronsRhs:
     def test_circle_tangent(self):
-        system = _unit_circle_system()
-        a_dot = core.grons_rhs(np.array([1.0, 0.0]), system)
+        constraints = _unit_circle_constraints()
+        a_dot = core.grons_rhs(np.array([1.0, 0.0]), lambda a: np.array([1.0, 1.0]), constraints)
         assert np.allclose(a_dot, [0.0, 1.0])
 
     def test_unconstrained_plain_solve(self):
         metric = core.assemble_metric(np.diag([2.0, 2.0]))
-        system = core.RonsSystem(metric, lambda a: np.array([2.0, 4.0]))
-        assert np.allclose(core.grons_rhs(np.zeros(2), system), [1.0, 2.0])
+        constraints = core.ConstraintSet(metric)
+        assert np.allclose(core.grons_rhs(np.zeros(2), lambda a: np.array([2.0, 4.0]),
+                                          constraints), [1.0, 2.0])
 
     def test_classical_equivalence_bitwise(self, rng):
         metric = core.assemble_metric(random_spd(rng, 6))
         f = rng.standard_normal(6)
-        system = core.RonsSystem(metric, lambda a: f)
-        assert np.array_equal(core.grons_rhs(np.zeros(6), system), metric.solve(f))
+        constraints = core.ConstraintSet(metric)
+        assert np.array_equal(core.grons_rhs(np.zeros(6), lambda a: f, constraints),
+                              metric.solve(f))
 
     def test_tangency_randomized(self, rng):
         # oracle is the construction itself: directional derivative of each
@@ -553,14 +555,14 @@ class TestGronsRhs:
                 for k in range(m)
             )
             f = rng.standard_normal(n)
-            system = core.RonsSystem(metric, lambda a: f, qs)
+            constraints = core.ConstraintSet(metric, qs)
             a = rng.standard_normal(n)
-            a_dot = core.grons_rhs(a, system)
+            a_dot = core.grons_rhs(a, lambda a: f, constraints)
             # velocity scale includes the unconstrained solve: when the
             # correction cancels it almost fully, |a_dot| alone drops below
             # the round-off of the subtraction that produced it
             v_scale = max(
-                np.linalg.norm(a_dot), np.linalg.norm(system.metric.solve(f))
+                np.linalg.norm(a_dot), np.linalg.norm(constraints.metric.solve(f))
             )
             for q in qs:
                 g = q.gradient(a)
@@ -578,9 +580,9 @@ class TestGronsRhs:
             quadratic_quantity(f"q{k}", rng.standard_normal((2 * n, 2 * n)))
             for k in range(2)
         )
-        system = core.RonsSystem(metric, lambda a: f, qs)
+        constraints = core.ConstraintSet(metric, qs)
         a = rng.standard_normal(2 * n)
-        a_dot = core.grons_rhs(a, system)
+        a_dot = core.grons_rhs(a, lambda a: f, constraints)
         for q in qs:
             g = q.gradient(a)
             assert abs(g @ a_dot) <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(a_dot)
@@ -593,8 +595,9 @@ class TestGronsRhs:
             pairings = r @ r.conj().T + n * np.eye(n)
             f_c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             metric = core.complexify_metric(pairings)
-            system = core.RonsSystem(metric, lambda a: core.assemble_rhs(f_c))
-            a_dot = core.grons_rhs(np.zeros(2 * n), system)
+            constraints = core.ConstraintSet(metric)
+            a_dot = core.grons_rhs(np.zeros(2 * n), lambda a: core.assemble_rhs(f_c),
+                                   constraints)
             z_dot = core.ParameterLayout.single_complex(n).unpack(a_dot)[0]
             expected = np.linalg.solve(pairings, f_c)
             assert np.max(np.abs(z_dot - expected)) <= 1e-12 * max(
@@ -783,14 +786,14 @@ class TestConstraintSet:
         metric = self._metric(kind, rng)
         qs = self._quantities(rng)
         f = rng.standard_normal(self.N)
-        cached = core.RonsSystem(metric, lambda a: f, qs)
-        plain = core.RonsSystem(metric, lambda a: f, with_lambda_values(qs))
+        cached = core.ConstraintSet(metric, qs)
+        plain = core.ConstraintSet(metric, with_lambda_values(qs))
         # the zero state makes the quadratic row inactive; later states must
         # not see what an earlier call wrote into the set's rows
         states = [rng.standard_normal(self.N), np.zeros(self.N), rng.standard_normal(self.N)]
         for a in states:
-            want = core.grons_rhs(a, plain)
-            assert core.grons_rhs(a, cached).tobytes() == want.tobytes()
+            want = core.grons_rhs(a, lambda a: f, plain)
+            assert core.grons_rhs(a, lambda a: f, cached).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["dense", "diagonal", "unit"])
     def test_batched_call_matches_lambda_values(self, rng, kind):
@@ -963,12 +966,72 @@ class TestCorrectionProperties:
             assert _close(got, alone)
 
 
+def _partial_norm(mask):
+    """``|a[mask]|^2 / 2``: its gradient vanishes where the state does on ``mask``."""
+    return core.ConservedQuantity(
+        "partial_norm",
+        value=lambda a: 0.5 * float(np.vecdot(a[mask], a[mask])),
+        gradient=lambda a: np.where(mask, a, 0.0),
+    )
+
+
+@st.composite
+def constraint_set_cases(draw):
+    """A unit, positive diagonal or dense SPD metric of width up to 40; one to
+    four quantities, each linear, all-zero linear, quadratic, or a partial
+    norm; and two states with their velocities.  The first state is zero on
+    the masks of the partial norms drawn to vanish, so their rows are
+    inactive there; the second is not."""
+    m = draw(st.integers(1, 4))
+    w = draw(st.integers(2 * m, 40))
+    kind = draw(st.sampled_from(["unit", "diagonal", "dense"]))
+    kinds = draw(st.lists(st.sampled_from(["linear", "null", "quadratic", "partial"]),
+                          min_size=m, max_size=m))
+    vanish = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        metric = core.assemble_metric(random_spd(rng, w))
+    elif kind == "diagonal":
+        metric = core.MetricTensor.from_diagonal(rng.uniform(0.1, 10.0, w))
+    else:
+        metric = core.MetricTensor.identity(w)
+    states = rng.standard_normal((2, w))
+    qs = []
+    for k, (what, gone) in enumerate(zip(kinds, vanish)):
+        if what in ("linear", "null"):
+            linear = core.LinearFunctional(
+                rng.standard_normal(w) if what == "linear" else np.zeros(w))
+            qs.append(core.ConservedQuantity(what, linear, linear.gradient))
+        elif what == "quadratic":
+            qs.append(quadratic_quantity(f"q{k}", rng.standard_normal((w, w))))
+        else:
+            mask = rng.random(w) < 0.5
+            mask[k] = True
+            if gone:
+                states[0, mask] = 0.0
+            qs.append(_partial_norm(mask))
+    return metric, tuple(qs), states, rng.standard_normal((2, w))
+
+
+class TestConstraintSetProperties:
+    @given(constraint_set_cases())
+    def test_unbatched_correct_is_the_kernel_bitwise(self, case):
+        # one set serves both states in turn: rows masked at the first must
+        # come back at the second
+        metric, qs, states, velocities = case
+        prepared = core.ConstraintSet(metric, qs)
+        for a, v in zip(states, velocities):
+            want = core.apply_invariant_correction(metric, v, [q.gradient(a) for q in qs])
+            assert prepared.correct(v, a).tobytes() == want.tobytes()
+
+
 def test_package_exports_resolve():
     import rons
 
     for name in rons.__all__:
         assert getattr(rons, name) is not None
-    assert not {"evaluate_constraint_system", "drop_degenerate_constraints"} & set(rons.__all__)
+    assert not {"evaluate_constraint_system", "drop_degenerate_constraints",
+                "RonsSystem"} & set(rons.__all__)
 
 
 def directional_derivative(fn, x, direction, step: float = 1e-6) -> float:

@@ -250,6 +250,12 @@ class TestPod:
         with pytest.raises(RankError):
             nls.compute_pod(np.zeros((3, N_GRID), dtype=complex), 5, LENGTH)
 
+    @pytest.mark.parametrize("n_modes", [0, -2])
+    def test_fewer_than_one_mode_rejected(self, rng, n_modes):
+        snaps = 0.1 * (rng.standard_normal((30, N_GRID)) + 1j * rng.standard_normal((30, N_GRID)))
+        with pytest.raises(ValidationError):
+            nls.compute_pod(snaps, n_modes, LENGTH)
+
 
 class TestProjectIc:
     def test_mean_projects_to_zero(self, rng):

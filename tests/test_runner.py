@@ -478,11 +478,19 @@ class TestPersistence:
         series = nls.SnapshotSeries(np.arange(4.0), u, 12.0)
         for fmt in ("csv", "json", "npz"):
             path = tmp_path / f"series.{fmt}"
-            io.save_snapshots(path, series, fmt)
+            io.save_snapshots(path, series)
             loaded = io.load_snapshots(path)
             assert np.array_equal(loaded.times, series.times)
             assert np.array_equal(loaded.snapshots, series.snapshots)
             assert loaded.length == series.length
+
+    def test_other_suffixes_are_csv(self, tmp_path, rng):
+        u = 0.1 * (rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16)))
+        series = nls.SnapshotSeries(np.arange(3.0), u, 12.0)
+        path = tmp_path / "series.dat"
+        io.save_snapshots(path, series)
+        assert path.read_text().startswith("# snapshot-series\n")
+        assert np.array_equal(io.load_snapshots(path).snapshots, series.snapshots)
 
     def test_pod_basis_roundtrip(self, tmp_path, rng):
         snaps = 0.1 * (rng.standard_normal((12, 32)) + 1j * rng.standard_normal((12, 32)))
