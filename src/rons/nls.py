@@ -548,10 +548,33 @@ def random_rom_ic(seed: int, basis: PodBasis, n_active: int = 5) -> core.Paramet
     return core.ParameterState(basis.layout.pack([z]), basis.layout)
 
 
+class ReducedFunctional:
+    """The value of a reduced-model invariant, declaring its gradient.
+
+    Calling it calls ``value``.  ``gradient_form`` is the :class:`CubicForm`
+    whose evaluation on stacked amplitudes is the invariant's gradient; an
+    affine gradient has a form on an empty grid.  The declaration rides on
+    the value, as :class:`~rons.core.LinearFunctional`'s does, so a quantity
+    rebuilt from its name, value and gradient keeps it, and a single run of
+    :func:`rom_run` evaluates the declared forms together with the reduced
+    operator instead of calling ``gradient``.
+    """
+
+    __slots__ = ("value", "gradient_form")
+
+    def __init__(self, value, gradient_form: CubicForm):
+        self.value = value
+        self.gradient_form = gradient_form
+
+    def __call__(self, a):
+        return self.value(a)
+
+
 def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.ConservedQuantity]:
     """Discrete mass and energy as functions of the stacked amplitudes.
 
-    Values are :func:`field_invariants` of the reconstructed field.
+    Values are :func:`field_invariants` of the reconstructed field, each a
+    :class:`ReducedFunctional` declaring its gradient's form.
     Gradients come from the chain rule through ``u(a) = mean + sum z_i phi_i``
     with ``z = a_re - i a_im``: for a functional with first variation
     ``dI = Re <w, du>`` the stacked gradient is ``[Re r, Im r]`` with
@@ -565,25 +588,27 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
     """
     dx = basis.dx
     mode_dx_h = basis.mode_derivatives.conj().T
-    mass_offset = stack_amplitudes(2.0 * basis.project(basis.mean))
-    mass_gram = _real_form(2.0 * basis.project(basis.modes))
+    no_grid = np.zeros((basis.n_modes + 1, 0))
+    mass_form = CubicForm.build(2.0 * basis.project(basis.mean), 2.0 * basis.project(basis.modes),
+                                no_grid, no_grid[1:].T)
     stiffness_offset = dx * (basis.mean_derivative @ mode_dx_h)
     stiffness = dx * (basis.mode_derivatives @ mode_dx_h)
     energy_form = CubicForm.build(0.25 * stiffness_offset, 0.25 * stiffness,
                                   np.vstack([basis.mean, basis.modes]), -basis._projector)
 
     def mass_gradient(a):
-        return mass_offset + basis.state_values(a) @ mass_gram
+        return mass_form.constant + basis.state_values(a) @ mass_form.linear
 
     def energy_gradient(a):
         return energy_form(basis.state_values(a))
 
-    def value(index):
-        return lambda a: field_invariants(basis.reconstruct_state(a), basis.length)[index]
+    def value(index, form):
+        return ReducedFunctional(
+            lambda a: field_invariants(basis.reconstruct_state(a), basis.length)[index], form)
 
     return (
-        core.ConservedQuantity("mass", value(0), mass_gradient),
-        core.ConservedQuantity("energy", value(1), energy_gradient),
+        core.ConservedQuantity("mass", value(0, mass_form), mass_gradient),
+        core.ConservedQuantity("energy", value(1, energy_form), energy_gradient),
     )
 
 
@@ -609,6 +634,83 @@ def rom_rhs(a, basis: PodBasis,
     return core.ConstraintSet.of(basis.metric, quantities).correct(f, values)
 
 
+def _grons_single_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantity]):
+    """The constrained derivative of one ``(2 N,)`` state in one pass, as a
+    closure that owns its matrices; ``None`` unless the basis's reduced
+    operator is a :class:`CubicForm` and every quantity's value is a
+    :class:`ReducedFunctional`.
+
+    The operator and the ``m`` declared gradient forms are stacked into one
+    joint form once: their ``linear`` matrices side by side ``(w, (m+1) w)``,
+    their fields ordered ``[Re, Re, ..., Im, Im, ...]`` over all grids (the
+    operator's 3/2 grid, the energy gradient's ``n``-point grid, none for an
+    affine gradient) and their tests as one block matrix, whose columns stop
+    at the last form with a grid (such gradients come first in ``G``).  One
+    evaluation is three GEMMs and one modulus pass, giving ``[f; G]``.  The
+    unit metric of the orthonormal modes makes the correction straight-line:
+    one GEMM gives ``b = G f`` and ``C = G G^T``, a row whose ``C`` diagonal
+    is at most ``DEGENERACY_TOL^2`` is dropped (the kernel's mask), the
+    active system goes to :func:`core._solve_small`, and whatever that
+    declines to :func:`core.solve_lagrange`.  The result is ``f - lambda G``,
+    or ``f`` itself when no row is active.  It agrees with :func:`rom_rhs` to
+    round-off, not bitwise: the products are summed in another order.
+    """
+    operator = basis.reduced_operator
+    gradients = [getattr(q.value, "gradient_form", None) for q in quantities]
+    if not gradients or not isinstance(operator, CubicForm) or any(f is None for f in gradients):
+        return None
+    forms = [operator, *sorted(gradients, key=lambda f: not f.field_offset.size)]
+    width = operator.linear.shape[0]
+    grids = [f.field_offset.shape[0] // 2 for f in forms]
+    grid = sum(grids)
+    field = np.hstack([f.field[:, :g] for f, g in zip(forms, grids)]
+                      + [f.field[:, g:] for f, g in zip(forms, grids)])
+    offset = np.concatenate([f.field_offset[:g] for f, g in zip(forms, grids)]
+                            + [f.field_offset[g:] for f, g in zip(forms, grids)])
+    linear = np.hstack([f.linear for f in forms])
+    constant = np.concatenate([f.constant for f in forms])
+    spanned = max((k + 1 for k, g in enumerate(grids) if g), default=0)
+    test = np.zeros((2 * grid, spanned * width))
+    start = 0
+    for k, (f, g) in enumerate(zip(forms, grids)):
+        if g:
+            columns = slice(k * width, (k + 1) * width)
+            test[start:start + g, columns] = f.test[:g]
+            test[grid + start:grid + start + g, columns] = f.test[g:]
+        start += g
+    rows = range(len(forms) - 1)
+    floor = core.DEGENERACY_TOL * core.DEGENERACY_TOL
+
+    def rhs(a: np.ndarray) -> np.ndarray:
+        if a.shape != (width,):
+            raise DimensionError(f"state has shape {a.shape}, expected ({width},)")
+        v = a @ field
+        v += offset
+        u = v.reshape(2, grid)                             # [Re u, -Im u]
+        modulus2 = u[0] * u[0]
+        modulus2 += u[1] * u[1]
+        u *= modulus2
+        out = a @ linear
+        out += constant
+        out[:spanned * width] += v @ test
+        out = out.reshape(-1, width)                       # [f; G]
+        f, g = out[0], out[1:]
+        products = (g @ out.T).tolist()                    # row k: [G_k f, C_k]
+        active = [k for k in rows if products[k][k + 1] > floor]
+        if not active:
+            return f
+        c = [[products[i][j + 1] for j in active] for i in active]
+        b = [products[i][0] for i in active]
+        lam = core._solve_small(c, b) if len(b) <= 3 else None
+        if lam is None:
+            lam = core.solve_lagrange(np.array(c), np.array(b))
+        if len(active) < len(rows):
+            g = g[active]
+        return f - np.dot(lam, g)
+
+    return rhs
+
+
 def rom_run(
     a0,
     basis: PodBasis,
@@ -620,16 +722,23 @@ def rom_run(
     """Integrate a reduced model, recording reconstructed snapshots.
 
     Batch-transparent: a ``(2 N,)`` state is one run and a ``(B, 2 N)`` stack
-    advances ``B`` runs together, with the outputs of :func:`_run_output`.  A
-    single run carries no batch axis because a leading axis of one is slower:
-    the correction would treat its gradients as per-member ones and skip the
-    Python-float solve of one small system.  The quantities are prepared as
-    one :class:`~rons.core.ConstraintSet` for the run.
+    advances ``B`` runs together, with the outputs of :func:`_run_output`.
+    The quantities are prepared as one :class:`~rons.core.ConstraintSet` for
+    the run.  A single constrained run whose quantities all declare their
+    gradient forms (those of :func:`rom_quantities`) evaluates the operator
+    and every gradient in one pass of :func:`_grons_single_rhs`, which
+    agrees with :func:`rom_rhs` to round-off; a batch, a plain run and any
+    other quantities go through :func:`rom_rhs`.  A single run carries no
+    batch axis because a leading axis of one is slower: the correction would
+    treat its gradients as per-member ones and skip the Python-float solve
+    of one small system.
     """
+    a0 = core.state_values(a0)
     quantities = core.ConstraintSet.of(basis.metric, quantities)
+    rhs = _grons_single_rhs(basis, quantities) if a0.ndim == 1 else None
     traj = integrate(
-        lambda a: rom_rhs(a, basis, quantities),
-        core.state_values(a0),
+        rhs or (lambda a: rom_rhs(a, basis, quantities)),
+        a0,
         StepSchedule(t_final=t_final, dt=dt),
         stepper=step_rk4,
         observe_every=snapshot_cadence,

@@ -4,7 +4,13 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rons import core, io, nls
-from rons.errors import AlignmentError, DivergenceError, RankError, ValidationError
+from rons.errors import (
+    AlignmentError,
+    DivergenceError,
+    IllConditionedConstraintWarning,
+    RankError,
+    ValidationError,
+)
 
 LENGTH = 16.0 * np.pi
 N_GRID = 64
@@ -524,6 +530,91 @@ class TestConstrainedBatch:
                           * np.linalg.norm(out, axis=1))
 
 
+JOINT_BASIS = pod_basis_with_mean(n_modes=4)
+JOINT_QUANTITIES = nls.rom_quantities(JOINT_BASIS)
+JOINT_RHS = nls._grons_single_rhs(JOINT_BASIS, JOINT_QUANTITIES)
+
+
+@st.composite
+def single_states(draw):
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 3.0]))
+    unit = hnp.arrays(float, (2 * JOINT_BASIS.n_modes,), elements=st.floats(-1.0, 1.0))
+    return scale * draw(unit)
+
+
+def null_quantity(n_modes):
+    """A declared invariant whose gradient vanishes at every state."""
+    form = nls.CubicForm.build(np.zeros(n_modes), np.zeros((n_modes, n_modes)),
+                               np.zeros((n_modes + 1, 0)), np.zeros((0, n_modes)))
+    return core.ConservedQuantity("null", nls.ReducedFunctional(lambda a: 0.0, form), form)
+
+
+def assert_tangent(a_dot, gradients):
+    # the bound of TestRomRhs.test_constrained_tangency
+    for g in gradients:
+        assert abs(g @ a_dot) <= 1e-10 * np.linalg.norm(g) * max(np.linalg.norm(a_dot), 1.0)
+
+
+class TestSingleRunJointForm:
+    """The one-pass derivative of a single G-RONS run against :func:`nls.rom_rhs`."""
+
+    @given(single_states())
+    def test_matches_rom_rhs_and_is_tangent(self, a):
+        got = JOINT_RHS(a)
+        assert_relative_close(got, nls.rom_rhs(a, JOINT_BASIS, JOINT_QUANTITIES), 1e-13)
+        assert_tangent(got, [q.gradient(a) for q in JOINT_QUANTITIES])
+
+    def test_vanishing_gradients_return_the_operator_bitwise(self):
+        basis = nls.PodBasis(np.zeros(N_GRID, dtype=complex), JOINT_BASIS.modes, LENGTH,
+                             JOINT_BASIS.singular_values)
+        quantities = nls.rom_quantities(basis)
+        a = np.zeros(2 * basis.n_modes)
+        assert not any(q.gradient(a).any() for q in quantities)
+        got = nls._grons_single_rhs(basis, quantities)(a)
+        assert np.array_equal(got, basis.reduced_operator(a))
+        assert np.array_equal(got, nls.rom_rhs(a, basis, quantities))
+
+    @pytest.mark.parametrize("kept", [0, 1], ids=["mass", "energy"])
+    @given(a=single_states())
+    def test_masks_a_vanishing_row_as_the_kernel_does(self, kept, a):
+        live, null = JOINT_QUANTITIES[kept], null_quantity(JOINT_BASIS.n_modes)
+        quantities = (live, null) if kept == 0 else (null, live)
+        got = nls._grons_single_rhs(JOINT_BASIS, quantities)(a)
+        assert_relative_close(got, nls.rom_rhs(a, JOINT_BASIS, quantities), 1e-13)
+        assert_relative_close(got, nls.rom_rhs(a, JOINT_BASIS, (live,)), 1e-13)
+        assert_tangent(got, [live.gradient(a)])
+
+    def test_declined_system_goes_to_solve_lagrange(self, rng, monkeypatch):
+        # a twin of the mass makes C singular: the float path declines it and
+        # solve_lagrange falls back to least squares with its warning
+        mass = JOINT_QUANTITIES[0]
+        quantities = (mass, core.ConservedQuantity("twin", mass.value, mass.gradient))
+        a = 0.4 * rng.standard_normal(2 * JOINT_BASIS.n_modes)
+        solve = core.solve_lagrange
+        calls = []
+        monkeypatch.setattr(core, "solve_lagrange", lambda c, b: calls.append(b) or solve(c, b))
+        joint = nls._grons_single_rhs(JOINT_BASIS, quantities)
+        with pytest.warns(IllConditionedConstraintWarning):
+            got = joint(a)
+        assert len(calls) == 1 and calls[0].shape == (2,)
+        with pytest.warns(IllConditionedConstraintWarning):
+            want = nls.rom_rhs(a, JOINT_BASIS, quantities)
+        assert_relative_close(got, want, 1e-13)
+        assert_tangent(got, [mass.gradient(a)])
+
+    def test_other_routes_keep_rom_rhs(self):
+        # a plain run, undeclared quantities and a non-cubic operator take
+        # the generic route
+        basis = pod_basis_with_mean()
+        mass, energy = nls.rom_quantities(basis)
+        undeclared = core.ConservedQuantity("mass", lambda a: mass.value(a), mass.gradient)
+        assert nls._grons_single_rhs(basis, ()) is None
+        assert nls._grons_single_rhs(basis, (undeclared, energy)) is None
+        operator = basis.reduced_operator
+        basis.__dict__["reduced_operator"] = lambda values: operator(values)
+        assert nls._grons_single_rhs(basis, (mass, energy)) is None
+
+
 class TestReducedModelDivergence:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("members", [None, 3])
@@ -547,6 +638,33 @@ class TestReducedModelDivergence:
             with np.errstate(invalid="ignore", over="ignore"):
                 nls.rom_run(a0, basis, 1.0, 0.5, 1 / 32, quantities=nls.rom_quantities(basis))
         assert info.value.time == 1 / 32
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_joint_route_nonfinite_stage_raises_divergence_with_time(self, rng, monkeypatch,
+                                                                     bad):
+        # a single run with rom_quantities takes the one-pass route, whose
+        # float solve hands back non-finite multipliers at step 2, stage 2
+        basis = pod_basis_with_mean()
+        solve = core._solve_small
+        calls = []
+
+        def failing(c, b):
+            calls.append(1)
+            lam = solve(c, b)
+            return [bad] * len(b) if len(calls) == 6 else lam
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the single run left the one-pass route")
+
+        monkeypatch.setattr(core, "_solve_small", failing)
+        monkeypatch.setattr(core, "apply_invariant_correction", forbidden)
+        a0 = 0.4 * rng.standard_normal(2 * basis.n_modes)
+        with pytest.raises(DivergenceError, match="RK4 step at t=") as info:
+            with np.errstate(invalid="ignore", over="ignore"):
+                nls.rom_run(a0, basis, 1.0, 0.5, 1 / 32, quantities=nls.rom_quantities(basis))
+        assert info.value.time == 1 / 32
+        # stages 3 and 4 see non-finite states, whose rows are all inactive
+        assert len(calls) == 6
 
 
 class TestBatchedEngines:
