@@ -31,7 +31,6 @@ import gc
 import importlib.util
 import json
 import pkgutil
-import statistics
 import sys
 import tempfile
 from pathlib import Path
@@ -119,8 +118,7 @@ def pair_ratios(parent: list[float], change: list[float]) -> dict:
     lo, median, hi = quartiles(ratios)
     return {**summarize(parent, change, "higher"), "unit": "member-steps/s",
             "ratio_per_pair": ratios, "ratio_median": median,
-            "ratio_quartiles": [lo, hi], "ratio_iqr": hi - lo,
-            "ratio_mean": statistics.fmean(ratios)}
+            "ratio_quartiles": [lo, hi], "ratio_iqr": hi - lo}
 
 
 def main(argv=None) -> int:
