@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rons import fv, swe
+from rons import core, fv, swe
 from rons.integrators import StepSchedule, integrate, step_ssprk3
 
 OUT = Path(__file__).parent / "output" / "gaussian_pulse"
@@ -26,6 +26,7 @@ config = swe.SweConfig(cfl_factor=8.0)
 grid = fv.build_grid(10.0, CELLS)
 scheme = swe.central_upwind_scheme(config)
 quantities = swe.swe_quantities(grid, config)
+enforced = core.ConstraintSet(fv.fv_metric(grid, 2), quantities)   # prepared once
 U0 = swe.gaussian_pulse_ic(grid, config)
 
 
@@ -41,7 +42,7 @@ def run(constraints):
 
 print(f"integrating {CELLS}-cell Gaussian pulse to t={HORIZON} ...")
 plain = run(())
-conserving = run(quantities)
+conserving = run(enforced)
 
 print(f"\n{'t':>4} | {'energy (plain)':>16} | {'energy (conserving)':>19}")
 for d_plain, d_cons in zip(plain.diagnostics, conserving.diagnostics):

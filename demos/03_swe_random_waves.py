@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rons import fv, swe
+from rons import core, fv, swe
 from rons.integrators import StepSchedule, integrate, step_rk4, step_ssprk3
 
 OUT = Path(__file__).parent / "output" / "random_waves"
@@ -30,7 +30,8 @@ def run(constraints, cfl_factor, stepper):
     config = swe.SweConfig(cfl_factor=cfl_factor)
     scheme = swe.central_upwind_scheme(config)
     quantities = swe.swe_quantities(grid, config)
-    chosen = tuple(q for q in quantities if q.name in constraints)
+    chosen = core.ConstraintSet(   # prepared once per run
+        fv.fv_metric(grid, 2), [q for q in quantities if q.name in constraints])
     rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, chosen)
     observer = lambda t, U: {
         "energy": quantities[2].value(U.reshape(-1)),

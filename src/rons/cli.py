@@ -114,9 +114,11 @@ def _cmd_pod(args) -> int:
     for path in _snapshot_paths(args.snapshots):
         series = io.load_snapshots(path)
         if length is None:
-            length = series.length
+            length, n_grid = series.length, series.snapshots.shape[1]
         elif series.length != length:
             raise ValidationError(f"{path} has a different domain length")
+        elif series.snapshots.shape[1] != n_grid:
+            raise ValidationError(f"{path} has a different grid size")
         stacks.append(series.snapshots)
     basis = nls.compute_pod(np.vstack(stacks), args.modes, length)
     io.save_pod_basis(args.out, basis)

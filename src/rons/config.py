@@ -31,7 +31,6 @@ SCHEMES_BY_MODEL = {
 STEPPERS = ("ssprk3", "rk4")
 OUTPUT_FORMATS = ("csv", "json")
 SWE_QUANTITIES = ("total_elevation", "total_velocity", "total_energy")
-NLS_QUANTITIES = ("mass", "energy")
 
 
 def _parse_seeds(text: str) -> tuple[int, ...] | None:

@@ -171,9 +171,6 @@ class ParameterState:
                 f"for a layout of width {self.layout.width}"
             )
 
-    def components(self) -> list[np.ndarray]:
-        return self.layout.unpack(self.values)
-
 
 def state_values(a) -> np.ndarray:
     """Accept either a raw vector or a :class:`ParameterState`."""
@@ -768,14 +765,6 @@ class ConstraintSet(tuple):
         # the stacks' row views detached from the stacks
         return type(self), (self.metric, tuple(self))
 
-    @classmethod
-    def of(cls, metric: MetricTensor, quantities) -> "ConstraintSet":
-        """``quantities`` itself when it is a set prepared against ``metric``,
-        else a new set of them."""
-        if isinstance(quantities, cls) and quantities.metric is metric:
-            return quantities
-        return cls(metric, quantities)
-
     def correct(self, velocity: np.ndarray, state: np.ndarray) -> np.ndarray:
         """:func:`apply_invariant_correction` of ``velocity`` with the
         gradients at ``state``, a ``(w,)`` vector or a ``(..., w)`` batch."""
@@ -798,6 +787,16 @@ class ConstraintSet(tuple):
         if self._solve_all:
             solved = self.metric.solve(g)
         return apply_invariant_correction(self.metric, velocity, (), (g, solved))
+
+
+def prepared(constraints, metric: MetricTensor, metric_expr: str):
+    """``constraints`` if it is ``()`` or a :class:`ConstraintSet` prepared
+    against ``metric``, else a :class:`ValidationError` naming the fix."""
+    if (isinstance(constraints, ConstraintSet) and constraints.metric is metric
+            or type(constraints) is tuple and not constraints):
+        return constraints
+    raise ValidationError(f"constraints must be a ConstraintSet prepared once per run: "
+                          f"pass core.ConstraintSet({metric_expr}, quantities)")
 
 
 def grons_rhs(a, rhs: Callable[[np.ndarray], np.ndarray],

@@ -9,7 +9,7 @@ diagonal with the cell widths on the diagonal, repeated per field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -101,27 +101,26 @@ def fvrons_rhs(
     U: np.ndarray,
     scheme: FluxScheme,
     grid: FvGrid,
-    constraints: Sequence[core.ConservedQuantity] = (),
+    constraints: core.ConstraintSet | tuple = (),
 ) -> np.ndarray:
     """Finite-volume derivative corrected to conserve the given invariants.
 
     ``dU/dt = F(U) - sum_k lambda_k M^{-1} grad I_k`` with the grid's
-    diagonal cell metric (:func:`fv_metric`).  ``constraints`` is a
-    :class:`~rons.core.ConstraintSet` prepared against that metric once per
-    run, or a plain sequence of quantities, prepared per call.
+    diagonal cell metric (:func:`fv_metric`).  ``constraints`` is ``()`` or
+    a :class:`~rons.core.ConstraintSet` prepared against that metric once
+    per run; anything else raises :class:`ValidationError`.
     Batch-transparent: ``U`` is ``(..., p, n)`` and each member gets its own
     multipliers, with degenerate gradients masked member by member.  The
     constraint gradients receive the flattened ``(..., p * n)`` states.  With
-    an empty (or fully degenerate) constraint list the result is the plain
+    an empty (or fully degenerate) set the result is the plain
     :func:`fv_rhs` output, bit for bit.  The flux comes from ``scheme.rhs`` unchecked: the
     steppers check each new state once.
     """
     flux = np.asarray(scheme.rhs(U, grid))
-    if not constraints:
-        return flux
     U = np.asarray(U, dtype=float)
+    if not core.prepared(constraints, fv_metric(grid, U.shape[-2]), "fv.fv_metric(grid, p)"):
+        return flux
     flat_shape = U.shape[:-2] + (-1,)
-    constraints = core.ConstraintSet.of(fv_metric(grid, U.shape[-2]), constraints)
     return constraints.correct(flux.reshape(flat_shape), U.reshape(flat_shape)).reshape(U.shape)
 
 

@@ -151,12 +151,6 @@ class Trajectory:
     diagnostics: list[dict]
     dt_history: np.ndarray
 
-    @property
-    def final_state(self):
-        if self.states:
-            return self.states[-1]
-        return None
-
 
 def integrate(
     rhs,

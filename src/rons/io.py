@@ -40,14 +40,6 @@ def write_invariants_csv(path, times, series: dict):
             fh.write(",".join(row) + "\n")
 
 
-def read_invariants_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
-    data = np.asarray(rows)
-    return {name: data[:, j] for j, name in enumerate(header)}
-
-
 def write_histogram_csv(path, edges, density):
     """Bin edges and densities; densities integrate to one."""
     path = Path(path)
@@ -112,7 +104,25 @@ def save_snapshots(path, series: SnapshotSeries):
 
 
 def load_snapshots(path) -> SnapshotSeries:
+    """The series :func:`save_snapshots` wrote, in the format of the suffix.
+
+    Raises :class:`ValidationError` unless the file holds at least one
+    sample of at least one grid point, with ``1 + 2 n`` values on every CSV
+    row for the ``n`` points of its ``n_grid`` header (else of the first row).
+    """
     path = Path(path)
+    try:
+        series = _read_snapshots(path)
+    except ValidationError:
+        raise
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not a readable snapshot series: {exc}") from exc
+    if series.snapshots.ndim != 2 or not series.snapshots.size:
+        raise ValidationError(f"{path} holds no sample of any grid point")
+    return series
+
+
+def _read_snapshots(path: Path) -> SnapshotSeries:
     if path.suffix == ".npz":
         data = np.load(path)
         return SnapshotSeries(data["times"], data["snapshots"], float(data["length"]))
@@ -126,7 +136,7 @@ def load_snapshots(path) -> SnapshotSeries:
         times = np.asarray([float(t) for t in payload["times"]])
         return SnapshotSeries(times, real + 1j * imag, float(payload["length"]))
     # CSV
-    length = None
+    length = n_grid = None
     times, rows = [], []
     with open(path) as fh:
         for line in fh:
@@ -136,16 +146,24 @@ def load_snapshots(path) -> SnapshotSeries:
             if line.startswith("#"):
                 if "length=" in line:
                     length = float(line.split("length=")[1])
+                elif "n_grid=" in line:
+                    n_grid = int(line.split("n_grid=")[1])
                 continue
             if line.startswith("time"):
                 continue
             vals = list(map(float, line.split(",")))
+            if n_grid is None:
+                n_grid = (len(vals) - 1) // 2
+            if len(vals) != 1 + 2 * n_grid:
+                raise ValidationError(
+                    f"{path} has a row of {len(vals)} values, expected 1 + 2 * {n_grid}"
+                )
             times.append(vals[0])
             interleaved = np.asarray(vals[1:])
             rows.append(interleaved[0::2] + 1j * interleaved[1::2])
     if length is None:
         raise ValidationError(f"{path} has no length metadata")
-    return SnapshotSeries(np.asarray(times), np.stack(rows), length)
+    return SnapshotSeries(np.asarray(times), np.asarray(rows), length)
 
 
 # ---------------------------------------------------------------------------

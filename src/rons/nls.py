@@ -39,8 +39,18 @@ DEFAULT_LENGTH = 32.0 * np.pi
 DEFAULT_MODES = 256
 DEFAULT_ROM_MODES = 9
 
-#: RK4 step bound dt <= safety / k_max^2 for the stiffest dispersive mode.
+#: RK4 step bound dt <= DT_SAFETY / k_max^2 for the stiffest dispersive mode.
 DT_SAFETY = 0.5
+
+#: Random initial states: the grid maximum of an envelope and the seeds tried
+#: for one (:func:`nls_random_ic`); the leading modes given a reduced
+#: amplitude (:func:`random_rom_ic`).
+IC_AMPLITUDE = 0.13
+IC_MAX_RESAMPLES = 16
+ROM_IC_MODES = 5
+
+#: Magnitude below which :func:`relative_drift` stops dividing.
+DRIFT_FLOOR = 1e-300
 
 
 def wavenumbers(n: int, length: float) -> np.ndarray:
@@ -48,10 +58,10 @@ def wavenumbers(n: int, length: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
 
 
-def stable_dt(n: int, length: float, safety: float = DT_SAFETY) -> float:
-    """Fixed RK4 step from the stability bound ``safety / k_max^2``."""
+def stable_dt(n: int, length: float) -> float:
+    """Fixed RK4 step from the stability bound ``DT_SAFETY / k_max^2``."""
     k_max = np.pi * n / length
-    return safety / k_max**2
+    return DT_SAFETY / k_max**2
 
 
 @dataclass(frozen=True)
@@ -80,11 +90,6 @@ class SpectralField:
     @property
     def n_modes(self) -> int:
         return self.coefficients.shape[0]
-
-    @property
-    def grid(self) -> np.ndarray:
-        n = self.n_modes
-        return np.arange(n) * (self.length / n)
 
     def values(self) -> np.ndarray:
         return np.fft.ifft(self.coefficients)
@@ -199,17 +204,15 @@ def field_invariants(values: np.ndarray, length: float) -> tuple[np.ndarray, np.
     return mass, energy
 
 
-def nls_random_ic(
-    seed: int, length: float = DEFAULT_LENGTH, n_modes: int = DEFAULT_MODES,
-    target_amplitude: float = 0.13, max_resamples: int = 16,
-) -> SpectralField:
+def nls_random_ic(seed: int, length: float = DEFAULT_LENGTH,
+                  n_modes: int = DEFAULT_MODES) -> SpectralField:
     """Random-phase multi-cosine envelope rescaled to realistic steepness.
 
     ``sum_{j=3}^{8} exp(-j^2/10) cos(2 pi j x / L + phi_j)`` with uniform
-    phases, rescaled so the grid maximum equals ``target_amplitude``.
+    phases, rescaled so the grid maximum equals :data:`IC_AMPLITUDE`.
     """
     x = np.arange(n_modes) * (length / n_modes)
-    for attempt in range(max_resamples):
+    for attempt in range(IC_MAX_RESAMPLES):
         rng = np.random.default_rng(seed + attempt)
         phases = rng.uniform(0.0, 2.0 * np.pi, 6)
         profile = np.zeros_like(x)
@@ -223,7 +226,7 @@ def nls_random_ic(
                     ResampledInitialConditionWarning,
                     stacklevel=2,
                 )
-            return SpectralField.from_values(target_amplitude * profile / peak, length)
+            return SpectralField.from_values(IC_AMPLITUDE * profile / peak, length)
     raise ValidationError(f"could not draw a usable initial condition from seed {seed}")
 
 
@@ -319,14 +322,14 @@ def _run_output(traj, fields: np.ndarray, length: float, dt: float) -> tuple:
     }
 
 
-def relative_drift(series: np.ndarray, floor: float = 1e-300):
+def relative_drift(series: np.ndarray):
     """Max departure from the initial value, relative to the largest magnitude.
 
     A float for a ``(T,)`` history; one value per column of a ``(T, B)`` one.
     """
     series = np.asarray(series, dtype=float)
     departure = np.max(np.abs(series - series[0]), axis=0)
-    drift = departure / np.maximum(np.max(np.abs(series), axis=0), floor)
+    drift = departure / np.maximum(np.max(np.abs(series), axis=0), DRIFT_FLOOR)
     return float(drift) if drift.ndim == 0 else drift
 
 
@@ -539,11 +542,12 @@ def project_ic(u0, basis: PodBasis) -> core.ParameterState:
     return core.ParameterState(basis.layout.pack([z]), basis.layout)
 
 
-def random_rom_ic(seed: int, basis: PodBasis, n_active: int = 5) -> core.ParameterState:
-    """Uniform [0, 1] amplitudes on the leading modes, zero elsewhere."""
+def random_rom_ic(seed: int, basis: PodBasis) -> core.ParameterState:
+    """Uniform [0, 1] amplitudes on the :data:`ROM_IC_MODES` leading modes,
+    zero elsewhere."""
     rng = np.random.default_rng(seed)
     z = np.zeros(basis.n_modes, dtype=complex)
-    k = min(n_active, basis.n_modes)
+    k = min(ROM_IC_MODES, basis.n_modes)
     z[:k] = rng.uniform(0.0, 1.0, k)
     return core.ParameterState(basis.layout.pack([z]), basis.layout)
 
@@ -612,26 +616,25 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
     )
 
 
-def rom_rhs(a, basis: PodBasis,
-            quantities: Sequence[core.ConservedQuantity] = ()) -> np.ndarray:
-    """Reduced time derivative; constrained when quantities are given.
+def rom_rhs(a, basis: PodBasis, constraints: core.ConstraintSet | tuple = ()) -> np.ndarray:
+    """Reduced time derivative; constrained when a constraint set is given.
 
     The plain-Galerkin path is the projection of the pseudo-spectral
     right-hand side onto the modes (identity metric, orthonormal modes),
     evaluated without any FFT by the basis's precomputed
-    :attr:`PodBasis.reduced_operator`.  With quantities the Lagrange
+    :attr:`PodBasis.reduced_operator`.  With constraints the Lagrange
     correction enforces their conservation exactly in continuous time -- the
-    invariant-constrained reduced model.  ``quantities`` is a
-    :class:`~rons.core.ConstraintSet` prepared against the basis's metric,
-    as :func:`rom_run` builds one per run, or a plain sequence, prepared per
-    call.  Batch-transparent: ``a`` is ``(..., 2 N)`` and each member gets
-    its own multipliers.
+    invariant-constrained reduced model.  ``constraints`` is ``()`` or a
+    :class:`~rons.core.ConstraintSet` prepared against :attr:`PodBasis.metric`,
+    as :func:`rom_run` builds one per run; anything else raises
+    :class:`ValidationError`.  Batch-transparent: ``a`` is ``(..., 2 N)``
+    and each member gets its own multipliers.
     """
     values = basis.state_values(a)
     f = basis.reduced_operator(values)
-    if not quantities:
+    if not core.prepared(constraints, basis.metric, "basis.metric"):
         return f
-    return core.ConstraintSet.of(basis.metric, quantities).correct(f, values)
+    return constraints.correct(f, values)
 
 
 def _grons_single_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantity]):
@@ -734,10 +737,10 @@ def rom_run(
     of one small system.
     """
     a0 = core.state_values(a0)
-    quantities = core.ConstraintSet.of(basis.metric, quantities)
-    rhs = _grons_single_rhs(basis, quantities) if a0.ndim == 1 else None
+    constraints = core.ConstraintSet(basis.metric, quantities)
+    rhs = _grons_single_rhs(basis, constraints) if a0.ndim == 1 else None
     traj = integrate(
-        rhs or (lambda a: rom_rhs(a, basis, quantities)),
+        rhs or (lambda a: rom_rhs(a, basis, constraints)),
         a0,
         StepSchedule(t_final=t_final, dt=dt),
         stepper=step_rk4,
@@ -775,8 +778,11 @@ def relative_errors(
 
     ``eps_I(t) = int |u - u_hat|^2 dx / int |u|^2 dx`` by the rectangle rule;
     the total error integrates numerator and denominator in time with the
-    trapezoid rule before taking the ratio.
+    trapezoid rule before taking the ratio.  Series on different grids
+    (grid size or domain length) raise :class:`AlignmentError`.
     """
+    if truth.snapshots.shape[1:] != reduced.snapshots.shape[1:] or truth.length != reduced.length:
+        raise AlignmentError("truth and reduced series live on different grids")
     tw = truth.window(t_start, t_end)
     rw = reduced.window(t_start, t_end)
     if tw.times.shape != rw.times.shape or not np.allclose(

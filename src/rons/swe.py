@@ -33,9 +33,8 @@ WAVE_SPEED_M_S = 198.0
 MEAN_DEPTH_M = 4000.0
 GRAVITY_M_S2 = 9.8
 
-#: Default domain and resolution for the benchmark experiments.
-DOMAIN_LENGTH = 10.0
-DEFAULT_CELLS = 1024
+#: Seeds tried by :func:`random_oscillatory_ic` before giving up.
+IC_MAX_RESAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -336,8 +335,7 @@ def gaussian_pulse_ic(grid: FvGrid, config: SweConfig) -> np.ndarray:
     return np.stack((eta, np.zeros_like(eta)))
 
 
-def random_oscillatory_ic(seed: int, grid: FvGrid, config: SweConfig,
-                          max_resamples: int = 16) -> np.ndarray:
+def random_oscillatory_ic(seed: int, grid: FvGrid, config: SweConfig) -> np.ndarray:
     """Seeded random oscillatory elevation, rescaled to tsunami amplitude.
 
     ``eta(x) = cos(2 pi x) * sum_{j=2}^{5} alpha_j cos(2 pi j x + phi_j)``
@@ -347,7 +345,7 @@ def random_oscillatory_ic(seed: int, grid: FvGrid, config: SweConfig,
     seed (warned, so runs can log it).
     """
     x = grid.centers
-    for attempt in range(max_resamples):
+    for attempt in range(IC_MAX_RESAMPLES):
         rng = np.random.default_rng(seed + attempt)
         alpha = rng.standard_normal(4)
         phi = rng.uniform(0.0, 2.0 * np.pi, 4)

@@ -155,6 +155,43 @@ class TestPodCommand:
         assert not out.exists()
 
 
+def _snapshot_csv(rows, n_grid=None):
+    head = "# snapshot-series\n# length=10.0\n" + (f"# n_grid={n_grid}\n" if n_grid else "")
+    return head + "".join(row + "\n" for row in rows)
+
+
+MALFORMED_SNAPSHOTS = {
+    "header-only-csv": {"a.csv": _snapshot_csv(["time,re_0,im_0"], 1)},
+    "one-value-per-point": {"a.csv": _snapshot_csv(["0.0,1.0,2.0", "1.0,1.0,2.0"], 2)},
+    "two-values-one-point": {"a.csv": _snapshot_csv(["0.0,1.0", "1.0,1.0"])},
+    "jagged-row": {"a.csv": _snapshot_csv(["0.0,1.0,0.0,1.0,0.0", "1.0,1.0,0.0"])},
+    "non-numeric": {"a.csv": _snapshot_csv(["0.0,1.0,x"])},
+    "empty-json": {"a.json": json.dumps({"kind": "snapshot-series", "length": 10.0,
+                                         "times": [], "real": [], "imag": []})},
+    # equal values, so broadcasting one point against two would read 0 error
+    "different-grids": {"a.csv": _snapshot_csv(["0.0,1.0,0.0", "1.0,1.0,0.0"]),
+                        "b.csv": _snapshot_csv(["0.0,1.0,0.0,1.0,0.0", "1.0,1.0,0.0,1.0,0.0"])},
+}
+
+
+@pytest.mark.parametrize("command", ["pod", "metrics"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SNAPSHOTS))
+def test_malformed_snapshots_exit_one(tmp_path, capsys, case, command):
+    paths = []
+    for name, text in MALFORMED_SNAPSHOTS[case].items():
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    out = tmp_path / "basis.json"
+    if command == "pod":
+        argv = ["pod", *paths, "--modes", "1", "--out", str(out)]
+    else:
+        argv = ["metrics", paths[0], paths[-1]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestMetricsCommand:
     def test_errors_between_series(self, tmp_path, capsys, rng):
         u = 0.1 * (rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32)))

@@ -811,9 +811,6 @@ class TestConstraintSet:
         qs = self._quantities(rng)
         prepared = core.ConstraintSet(core.MetricTensor.identity(self.N), qs)
         assert len(prepared) == 3 and tuple(prepared) == qs
-        assert core.ConstraintSet.of(prepared.metric, prepared) is prepared
-        other = core.MetricTensor.identity(self.N)
-        assert core.ConstraintSet.of(other, prepared).metric is other
 
     @pytest.mark.parametrize(
         "clone",

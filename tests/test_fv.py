@@ -69,7 +69,7 @@ class TestGridMetric:
             scheme.rhs(U, grid).reshape(flat_shape),
             [q.gradient(U.reshape(flat_shape)) for q in quantities],
         ).reshape(U.shape)
-        got = fv.fvrons_rhs(U, scheme, grid, quantities)
+        got = fv.fvrons_rhs(U, scheme, grid, prepared(grid, quantities))
         assert got.tobytes() == want.tobytes()
 
 
@@ -78,6 +78,11 @@ def _swe_setup(n=64):
     grid = fv.build_grid(10.0, n)
     scheme = swe.central_upwind_scheme(config)
     return config, grid, scheme
+
+
+def prepared(grid, quantities):
+    """``quantities`` prepared once against the grid's two-field metric."""
+    return core.ConstraintSet(fv.fv_metric(grid, 2), quantities)
 
 
 class TestFvRhs:
@@ -128,7 +133,7 @@ class TestFvRonsRhs:
         U = np.stack(
             [1e-7 * rng.standard_normal(grid.n_cells), 1e-7 * rng.standard_normal(grid.n_cells)]
         )
-        out = fv.fvrons_rhs(U, scheme, grid, quantities).reshape(-1)
+        out = fv.fvrons_rhs(U, scheme, grid, prepared(grid, quantities)).reshape(-1)
         for q in quantities:
             g = q.gradient(U.reshape(-1))
             assert abs(g @ out) <= 1e-10 * np.linalg.norm(g) * np.linalg.norm(out)
@@ -139,7 +144,7 @@ class TestFvRonsRhs:
         config, grid, scheme = _swe_setup()
         quantities = swe.swe_quantities(grid, config)
         U = swe.lake_at_rest_ic(grid)
-        out = fv.fvrons_rhs(U, scheme, grid, quantities)
+        out = fv.fvrons_rhs(U, scheme, grid, prepared(grid, quantities))
         assert np.max(np.abs(out)) <= 1e-13
 
     def test_degenerate_gradients_fall_back_to_plain(self):
@@ -149,14 +154,14 @@ class TestFvRonsRhs:
         )
         U = swe.gaussian_pulse_ic(grid, config)
         assert np.array_equal(
-            fv.fvrons_rhs(U, scheme, grid, (zero_q,)), fv.fv_rhs(U, scheme, grid)
+            fv.fvrons_rhs(U, scheme, grid, prepared(grid, (zero_q,))), fv.fv_rhs(U, scheme, grid)
         )
 
     def test_member_result_does_not_depend_on_its_batch(self):
         # the batched correction forms its products row by row, so a member
         # gets the same bits alone, in the salvage batch of one or in chunks
         config, grid, scheme = _swe_setup(256)
-        quantities = swe.swe_quantities(grid, config)
+        quantities = prepared(grid, swe.swe_quantities(grid, config))
         U = np.stack([swe.random_oscillatory_ic(s, grid, config) for s in range(100)])
         U[:, 1] = 1e-6 * np.random.default_rng(5).standard_normal((100, 256))
         whole = fv.fvrons_rhs(U, scheme, grid, quantities)
@@ -164,6 +169,34 @@ class TestFvRonsRhs:
             parts = [fv.fvrons_rhs(U[i:i + size], scheme, grid, quantities)
                      for i in range(0, 100, size)]
             assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+class TestOneWayIn:
+    """``fvrons_rhs`` takes ``()`` or a set prepared against the grid's metric."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batched"])
+    def test_other_constraints_rejected_naming_the_fix(self, batch):
+        config, grid, scheme = _swe_setup()
+        quantities = swe.swe_quantities(grid, config)
+        U = _moving_states(grid, config, 0)
+        U = U if batch else U[0]
+        equal_metric = core.MetricTensor.from_diagonal(np.tile(grid.widths, 2))
+        for constraints in (quantities, list(quantities), (quantities[2],),
+                            core.ConstraintSet(equal_metric, quantities),
+                            prepared(fv.build_grid(10.0, grid.n_cells), quantities)):
+            with pytest.raises(ValidationError,
+                               match=r"core\.ConstraintSet\(fv\.fv_metric\(grid, p\), "):
+                fv.fvrons_rhs(U, scheme, grid, constraints)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batched"])
+    def test_nothing_or_an_empty_set_is_the_plain_derivative_bitwise(self, batch):
+        config, grid, scheme = _swe_setup()
+        U = _moving_states(grid, config, 0)
+        U = U if batch else U[0]
+        want = scheme.rhs(U, grid).tobytes()
+        assert fv.fvrons_rhs(U, scheme, grid).tobytes() == want
+        assert fv.fvrons_rhs(U, scheme, grid, ()).tobytes() == want
+        assert fv.fvrons_rhs(U, scheme, grid, prepared(grid, ())).tobytes() == want
 
 
 def failing_at_call(scheme, call, bad):
@@ -194,7 +227,7 @@ class TestFvRonsDivergence:
     def test_nonfinite_stage_two_raises_divergence_with_time(self, bad, members, stepper,
                                                               stages):
         config, grid, scheme = _swe_setup()
-        quantities = swe.swe_quantities(grid, config)
+        quantities = prepared(grid, swe.swe_quantities(grid, config))
         U0 = swe.random_oscillatory_ic(3, grid, config)
         if members:
             U0 = np.stack([swe.random_oscillatory_ic(s, grid, config) for s in range(members)])
@@ -222,14 +255,13 @@ class TestPreparedConstraintSet:
     def test_cached_rows_match_lambda_integrals_bitwise(self, batch):
         config, grid, scheme = _swe_setup()
         quantities = swe.swe_quantities(grid, config)
-        prepared = core.ConstraintSet(fv.fv_metric(grid, 2), quantities)
-        plain = with_lambda_values(quantities)
+        cached = prepared(grid, quantities)
+        plain = prepared(grid, with_lambda_values(quantities))
         for first in (0, 3, 6):   # one set over several states: no stale rows
             U = _moving_states(grid, config, first)
             U = U if batch else U[0]
             want = fv.fvrons_rhs(U, scheme, grid, plain)
-            assert fv.fvrons_rhs(U, scheme, grid, prepared).tobytes() == want.tobytes()
-            assert fv.fvrons_rhs(U, scheme, grid, quantities).tobytes() == want.tobytes()
+            assert fv.fvrons_rhs(U, scheme, grid, cached).tobytes() == want.tobytes()
 
     def test_inactive_energy_row_at_rest_matches_lambda_integrals(self, rng):
         # lake at rest: the energy gradient vanishes, so its row is dropped
@@ -261,11 +293,12 @@ class TestPreparedConstraintSet:
             return core.ConservedQuantity(q.name, q.value, gradient)
 
         quantities = swe.swe_quantities(grid, config)
-        prepared = core.ConstraintSet(fv.fv_metric(grid, 2), [counted(q) for q in quantities])
+        cached = prepared(grid, [counted(q) for q in quantities])
+        plain = prepared(grid, with_lambda_values(quantities))
         U = _moving_states(grid, config, 0)
         for state in (U[0], U[1]):
-            want = fv.fvrons_rhs(state, scheme, grid, with_lambda_values(quantities))
-            assert fv.fvrons_rhs(state, scheme, grid, prepared).tobytes() == want.tobytes()
+            want = fv.fvrons_rhs(state, scheme, grid, plain)
+            assert fv.fvrons_rhs(state, scheme, grid, cached).tobytes() == want.tobytes()
         assert calls == ["total_energy", "total_energy"]
 
 
@@ -337,7 +370,7 @@ class TestDiscreteConservation:
         quantities = swe.swe_quantities(grid, config)
         U0 = swe.random_oscillatory_ic(3, grid, config)
         schedule = StepSchedule(t_final=1.0, cfl=lambda U: scheme.cfl_dt(U, grid))
-        for constraints in ((), quantities):
+        for constraints in ((), prepared(grid, quantities)):
             rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, constraints)
             traj = integrate(rhs, U0, schedule, stepper=step_ssprk3, observe_every=1.0)
             final = traj.states[-1]

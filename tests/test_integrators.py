@@ -309,7 +309,6 @@ class TestIntegrate:
         traj = integrate(decay, np.array([1.0]), StepSchedule(t_final=1.0, dt=0.5),
                          store_states=False)
         assert traj.states is None
-        assert traj.final_state is None
 
 
 class TestConvergenceOrders:

@@ -44,6 +44,11 @@ def pod_basis_with_mean(n_modes=6, n=N_GRID, seed=11):
     return nls.compute_pod(carrier + 0.1 * noise, n_modes, LENGTH)
 
 
+def prepared(basis, quantities):
+    """``quantities`` prepared once against the basis's metric."""
+    return core.ConstraintSet(basis.metric, quantities)
+
+
 def reference_rhs_spectrum(spec, length):
     """Oracle: the right-hand side composed the long way, six FFTs.
 
@@ -330,22 +335,44 @@ class TestRomInvariants:
 
 
 class TestRomRhs:
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+    def test_other_constraints_rejected_naming_the_fix(self, rng, batch):
+        basis = pod_basis_with_mean()
+        quantities = nls.rom_quantities(basis)
+        a = 0.4 * rng.standard_normal(batch + (2 * basis.n_modes,))
+        for constraints in (quantities, list(quantities), quantities[:1],
+                            core.ConstraintSet(core.MetricTensor.identity(a.shape[-1]),
+                                               quantities),
+                            prepared(pod_basis_with_mean(), quantities)):
+            with pytest.raises(ValidationError,
+                               match=r"core\.ConstraintSet\(basis\.metric, quantities\)"):
+                nls.rom_rhs(a, basis, constraints)
+
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+    def test_nothing_or_an_empty_set_is_the_plain_derivative_bitwise(self, rng, batch):
+        basis = pod_basis_with_mean()
+        a = 0.4 * rng.standard_normal(batch + (2 * basis.n_modes,))
+        want = basis.reduced_operator(a).tobytes()
+        assert nls.rom_rhs(a, basis).tobytes() == want
+        assert nls.rom_rhs(a, basis, ()).tobytes() == want
+        assert nls.rom_rhs(a, basis, prepared(basis, ())).tobytes() == want
+
     def test_unconstrained_equals_degenerate_constraint_state(self):
         basis = fourier_basis(3)
         zero_q = core.ConservedQuantity("null", lambda a: 0.0, lambda a: np.zeros_like(a))
         a = np.zeros(6)
         a[0] = 0.4
         assert np.array_equal(
-            nls.rom_rhs(a, basis), nls.rom_rhs(a, basis, quantities=(zero_q,))
+            nls.rom_rhs(a, basis), nls.rom_rhs(a, basis, prepared(basis, (zero_q,)))
         )
 
     def test_constrained_tangency(self, rng):
         snaps = 0.1 * (rng.standard_normal((30, N_GRID)) + 1j * rng.standard_normal((30, N_GRID)))
         basis = nls.compute_pod(snaps, 4, LENGTH)
-        quantities = nls.rom_quantities(basis)
+        quantities = prepared(basis, nls.rom_quantities(basis))
         for _ in range(5):
             a = 0.5 * rng.standard_normal(8)
-            a_dot = nls.rom_rhs(a, basis, quantities=quantities)
+            a_dot = nls.rom_rhs(a, basis, quantities)
             for q in quantities:
                 g = q.gradient(a)
                 bound = 1e-10 * np.linalg.norm(g) * max(np.linalg.norm(a_dot), 1.0)
@@ -354,7 +381,7 @@ class TestRomRhs:
     @pytest.mark.parametrize("batch", [(), (4,)])
     def test_metric_built_once_per_basis(self, rng, batch):
         basis = pod_basis_with_mean()
-        quantities = nls.rom_quantities(basis)
+        quantities = prepared(basis, nls.rom_quantities(basis))
         assert basis.metric is basis.metric
         assert np.array_equal(basis.metric.toarray(), np.eye(2 * basis.n_modes))
         a = 0.4 * rng.standard_normal(batch + (2 * basis.n_modes,))
@@ -399,7 +426,7 @@ class TestReducedOperator:
         corrected = core.apply_invariant_correction(
             core.MetricTensor.identity(want.shape[-1]), want, grid_gradients(a, basis)
         )
-        got = nls.rom_rhs(a, basis, nls.rom_quantities(basis))
+        got = nls.rom_rhs(a, basis, prepared(basis, nls.rom_quantities(basis)))
         assert_relative_close(got, corrected, 1e-12)
 
     @pytest.mark.parametrize("name", sorted(BASES))
@@ -411,7 +438,7 @@ class TestReducedOperator:
 
     def test_online_evaluation_runs_no_fft(self, rng, monkeypatch):
         basis = pod_basis_with_mean()
-        quantities = nls.rom_quantities(basis)
+        quantities = prepared(basis, nls.rom_quantities(basis))
         a = 0.4 * rng.standard_normal((3, 2 * basis.n_modes))
         expected = nls.rom_rhs(a, basis, quantities)
 
@@ -432,8 +459,8 @@ class TestReducedOperator:
         a = 0.4 * rng.standard_normal((4, 2 * basis.n_modes))
         assert np.array_equal(nls.rom_rhs(a, basis), nls.rom_rhs(a, reloaded))
         assert np.array_equal(
-            nls.rom_rhs(a, basis, nls.rom_quantities(basis)),
-            nls.rom_rhs(a, reloaded, nls.rom_quantities(reloaded)),
+            nls.rom_rhs(a, basis, prepared(basis, nls.rom_quantities(basis))),
+            nls.rom_rhs(a, reloaded, prepared(reloaded, nls.rom_quantities(reloaded))),
         )
 
     def test_odd_grid_rejected(self, rng):
@@ -515,7 +542,7 @@ class TestConstrainedBatch:
         # twenty members, mass and energy: every member's 2 x 2 constraint
         # system is solved in closed form
         basis = pod_basis_with_mean()
-        quantities = nls.rom_quantities(basis)
+        quantities = prepared(basis, nls.rom_quantities(basis))
         a = 0.4 * rng.standard_normal((20, 2 * basis.n_modes))
         calls = []
         original = np.linalg.solve
@@ -533,6 +560,7 @@ class TestConstrainedBatch:
 JOINT_BASIS = pod_basis_with_mean(n_modes=4)
 JOINT_QUANTITIES = nls.rom_quantities(JOINT_BASIS)
 JOINT_RHS = nls._grons_single_rhs(JOINT_BASIS, JOINT_QUANTITIES)
+JOINT_SET = prepared(JOINT_BASIS, JOINT_QUANTITIES)
 
 
 @st.composite
@@ -561,7 +589,7 @@ class TestSingleRunJointForm:
     @given(single_states())
     def test_matches_rom_rhs_and_is_tangent(self, a):
         got = JOINT_RHS(a)
-        assert_relative_close(got, nls.rom_rhs(a, JOINT_BASIS, JOINT_QUANTITIES), 1e-13)
+        assert_relative_close(got, nls.rom_rhs(a, JOINT_BASIS, JOINT_SET), 1e-13)
         assert_tangent(got, [q.gradient(a) for q in JOINT_QUANTITIES])
 
     def test_vanishing_gradients_return_the_operator_bitwise(self):
@@ -572,7 +600,7 @@ class TestSingleRunJointForm:
         assert not any(q.gradient(a).any() for q in quantities)
         got = nls._grons_single_rhs(basis, quantities)(a)
         assert np.array_equal(got, basis.reduced_operator(a))
-        assert np.array_equal(got, nls.rom_rhs(a, basis, quantities))
+        assert np.array_equal(got, nls.rom_rhs(a, basis, prepared(basis, quantities)))
 
     @pytest.mark.parametrize("kept", [0, 1], ids=["mass", "energy"])
     @given(a=single_states())
@@ -580,8 +608,10 @@ class TestSingleRunJointForm:
         live, null = JOINT_QUANTITIES[kept], null_quantity(JOINT_BASIS.n_modes)
         quantities = (live, null) if kept == 0 else (null, live)
         got = nls._grons_single_rhs(JOINT_BASIS, quantities)(a)
-        assert_relative_close(got, nls.rom_rhs(a, JOINT_BASIS, quantities), 1e-13)
-        assert_relative_close(got, nls.rom_rhs(a, JOINT_BASIS, (live,)), 1e-13)
+        want = nls.rom_rhs(a, JOINT_BASIS, prepared(JOINT_BASIS, quantities))
+        assert_relative_close(got, want, 1e-13)
+        want = nls.rom_rhs(a, JOINT_BASIS, prepared(JOINT_BASIS, (live,)))
+        assert_relative_close(got, want, 1e-13)
         assert_tangent(got, [live.gradient(a)])
 
     def test_declined_system_goes_to_solve_lagrange(self, rng, monkeypatch):
@@ -598,7 +628,7 @@ class TestSingleRunJointForm:
             got = joint(a)
         assert len(calls) == 1 and calls[0].shape == (2,)
         with pytest.warns(IllConditionedConstraintWarning):
-            want = nls.rom_rhs(a, JOINT_BASIS, quantities)
+            want = nls.rom_rhs(a, JOINT_BASIS, prepared(JOINT_BASIS, quantities))
         assert_relative_close(got, want, 1e-13)
         assert_tangent(got, [mass.gradient(a)])
 
@@ -735,6 +765,17 @@ class TestErrorMetrics:
         )
         assert np.allclose(inst, 1e-6, rtol=1e-9)
         assert total == pytest.approx(1e-6, rel=1e-9)
+
+    # a one-point field would broadcast against the others
+    @pytest.mark.parametrize("n_grid, length", [(1, LENGTH), (N_GRID, 2 * LENGTH)],
+                             ids=["grid-size", "domain-length"])
+    def test_different_grids_rejected(self, rng, n_grid, length):
+        u = rng.standard_normal((5, N_GRID)) + 1j * rng.standard_normal((5, N_GRID))
+        other = nls.SnapshotSeries(np.arange(5.0), u[:, :n_grid], length)
+        with pytest.raises(AlignmentError, match="different grids"):
+            nls.relative_errors(self._series(u), other, 0, 4)
+        with pytest.raises(AlignmentError, match="different grids"):
+            nls.relative_errors(other, self._series(u), 0, 4)
 
     def test_misaligned_times_rejected(self, rng):
         u = rng.standard_normal((5, N_GRID)) + 1j * rng.standard_normal((5, N_GRID))

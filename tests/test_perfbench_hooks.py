@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rons import fv, nls, runner, swe
+from rons import core, fv, nls, runner, swe
 from rons.config import RunConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -31,8 +31,8 @@ def _outputs(U, A, basis):
     swe_cfg = swe.SweConfig()
     grid = fv.build_grid(10.0, U.shape[-1])
     scheme = swe.central_upwind_scheme(swe_cfg)
-    swe_qs = swe.swe_quantities(grid, swe_cfg)
-    rom_qs = nls.rom_quantities(basis)
+    swe_qs = core.ConstraintSet(fv.fv_metric(grid, 2), swe.swe_quantities(grid, swe_cfg))
+    rom_qs = core.ConstraintSet(basis.metric, nls.rom_quantities(basis))
     return [
         fv.fvrons_rhs(U, scheme, grid, swe_qs),
         fv.fvrons_rhs(U[0], scheme, grid, swe_qs),
@@ -101,8 +101,8 @@ def test_each_constrained_evaluation_solves_once(rng, batched):
     if not batched:
         U, A = U[0], A[0]
     scheme = swe.central_upwind_scheme(swe_cfg)
-    swe_qs = swe.swe_quantities(grid, swe_cfg)
-    rom_qs = nls.rom_quantities(basis)
+    swe_qs = core.ConstraintSet(fv.fv_metric(grid, 2), swe.swe_quantities(grid, swe_cfg))
+    rom_qs = core.ConstraintSet(basis.metric, nls.rom_quantities(basis))
     calls = [lambda: fv.fvrons_rhs(U, scheme, grid, swe_qs),
              lambda: nls.rom_rhs(A, basis, rom_qs)]
     for call in calls:

@@ -25,7 +25,7 @@ def test_quickstart_runs_and_prepares_its_constraints_once():
     quantities, grid = namespace["quantities"], namespace["grid"]
     # prepared against the metric fvrons_rhs uses, so no call prepares it again
     assert isinstance(quantities, core.ConstraintSet)
-    assert core.ConstraintSet.of(fv.fv_metric(grid, 2), quantities) is quantities
+    assert quantities.metric is fv.fv_metric(grid, 2)
     trajectory = namespace["trajectory"]
     assert trajectory.times[-1] == 0.05 and len(trajectory.dt_history) > 1
     assert np.isfinite(trajectory.states[-1]).all()

@@ -545,7 +545,7 @@ class TestWellBalanced:
         scheme = swe.central_upwind_scheme(config)
         quantities = swe.swe_quantities(grid, config)
         schedule = StepSchedule(t_final=1.0, cfl=lambda U: scheme.cfl_dt(U, grid))
-        for constraints in ((), quantities):
+        for constraints in ((), core.ConstraintSet(fv.fv_metric(grid, 2), quantities)):
             rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, constraints)
             traj = integrate(rhs, swe.lake_at_rest_ic(grid), schedule,
                              stepper=step_ssprk3, observe_every=1.0)
