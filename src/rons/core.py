@@ -795,8 +795,12 @@ def prepared(constraints, metric: MetricTensor, metric_expr: str):
     if (isinstance(constraints, ConstraintSet) and constraints.metric is metric
             or type(constraints) is tuple and not constraints):
         return constraints
-    raise ValidationError(f"constraints must be a ConstraintSet prepared once per run: "
-                          f"pass core.ConstraintSet({metric_expr}, quantities)")
+    raise _unprepared(metric_expr)
+
+
+def _unprepared(metric_expr: str) -> ValidationError:
+    return ValidationError(f"constraints must be a ConstraintSet prepared once per run: "
+                           f"pass core.ConstraintSet({metric_expr}, quantities)")
 
 
 def grons_rhs(a, rhs: Callable[[np.ndarray], np.ndarray],
@@ -808,8 +812,11 @@ def grons_rhs(a, rhs: Callable[[np.ndarray], np.ndarray],
     (``ConstraintSet(metric)`` included) this is exactly the classical
     Galerkin solve ``M a' = f`` (identical code path, hence bitwise identical
     results).  Along the returned direction every active invariant has zero
-    rate of change up to the linear-solve tolerance.
+    rate of change up to the linear-solve tolerance.  Anything but a
+    :class:`ConstraintSet` raises :class:`ValidationError` naming the fix.
     """
+    if not isinstance(constraints, ConstraintSet):
+        raise _unprepared("metric")
     a = state_values(a)
     velocity = constraints.metric.solve(np.asarray(rhs(a), dtype=float))
     return constraints.correct(velocity, a)

@@ -28,38 +28,29 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
-def write_invariants_csv(path, times, series: dict):
-    """One row per observation: time plus each declared quantity."""
+def _write_table(path, header, columns):
+    """A CSV of named float columns, one row per entry, each column
+    formatted once (:func:`format_float` of every value, byte for byte)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    names = list(series)
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     with open(path, "w") as fh:
-        fh.write(",".join(["time", *names]) + "\n")
-        for i, t in enumerate(times):
-            row = [format_float(t)] + [format_float(series[n][i]) for n in names]
-            fh.write(",".join(row) + "\n")
+        fh.write("".join(",".join(row) + "\n" for row in [header, *zip(*cells)]))
+
+
+def write_invariants_csv(path, times, series: dict):
+    """One row per observation: time plus each declared quantity."""
+    _write_table(path, ["time", *series], [times, *series.values()])
 
 
 def write_histogram_csv(path, edges, density):
     """Bin edges and densities; densities integrate to one."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("bin_left,bin_right,density\n")
-        for lo, hi, d in zip(edges[:-1], edges[1:], density):
-            fh.write(f"{format_float(lo)},{format_float(hi)},{format_float(d)}\n")
+    _write_table(path, ["bin_left", "bin_right", "density"], [edges[:-1], edges[1:], density])
 
 
 def write_field_csv(path, x, fields: dict):
     """Grid field snapshot: one row per cell, named columns."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    names = list(fields)
-    with open(path, "w") as fh:
-        fh.write(",".join(["x", *names]) + "\n")
-        for i, xi in enumerate(x):
-            row = [format_float(xi)] + [format_float(fields[n][i]) for n in names]
-            fh.write(",".join(row) + "\n")
+    _write_table(path, ["x", *fields], [x, *fields.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +97,18 @@ def save_snapshots(path, series: SnapshotSeries):
 def load_snapshots(path) -> SnapshotSeries:
     """The series :func:`save_snapshots` wrote, in the format of the suffix.
 
-    Raises :class:`ValidationError` unless the file holds at least one
-    sample of at least one grid point, with ``1 + 2 n`` values on every CSV
-    row for the ``n`` points of its ``n_grid`` header (else of the first row).
+    Raises :class:`ValidationError` naming the path unless the file can be
+    opened and holds at least one sample of at least one grid point, with
+    ``1 + 2 n`` values on every CSV row for the ``n`` points of its
+    ``n_grid`` header (else of the first row).
     """
     path = Path(path)
     try:
         series = _read_snapshots(path)
     except ValidationError:
         raise
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
     except ValueError as exc:
         raise ValidationError(f"{path} is not a readable snapshot series: {exc}") from exc
     if series.snapshots.ndim != 2 or not series.snapshots.size:
@@ -190,7 +184,20 @@ def save_pod_basis(path, basis: PodBasis):
 
 
 def load_pod_basis(path) -> PodBasis:
+    """The basis :func:`save_pod_basis` wrote; a file that cannot be opened
+    raises :class:`ValidationError` naming the path."""
     path = Path(path)
+    try:
+        return _read_pod_basis(path)
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+
+
+def _unreadable(path: Path, exc: OSError) -> ValidationError:
+    return ValidationError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _read_pod_basis(path: Path) -> PodBasis:
     if path.suffix == ".npz":
         data = np.load(path)
         mean = data["mean"]

@@ -559,9 +559,9 @@ class ReducedFunctional:
     whose evaluation on stacked amplitudes is the invariant's gradient; an
     affine gradient has a form on an empty grid.  The declaration rides on
     the value, as :class:`~rons.core.LinearFunctional`'s does, so a quantity
-    rebuilt from its name, value and gradient keeps it, and a single run of
-    :func:`rom_run` evaluates the declared forms together with the reduced
-    operator instead of calling ``gradient``.
+    rebuilt from its name, value and gradient keeps it, and :func:`rom_run`
+    evaluates the declared forms together with the reduced operator instead
+    of calling ``gradient``, for a single run and a batch alike.
     """
 
     __slots__ = ("value", "gradient_form")
@@ -637,26 +637,35 @@ def rom_rhs(a, basis: PodBasis, constraints: core.ConstraintSet | tuple = ()) ->
     return constraints.correct(f, values)
 
 
-def _grons_single_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantity]):
-    """The constrained derivative of one ``(2 N,)`` state in one pass, as a
-    closure that owns its matrices; ``None`` unless the basis's reduced
-    operator is a :class:`CubicForm` and every quantity's value is a
-    :class:`ReducedFunctional`.
+def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantity]):
+    """The constrained derivative of a ``(2 N,)`` state or a ``(..., 2 N)``
+    batch in one pass, as a closure that owns its matrices; ``None`` unless
+    the basis's reduced operator is a :class:`CubicForm` and every quantity's
+    value is a :class:`ReducedFunctional`.
 
-    The operator and the ``m`` declared gradient forms are stacked into one
-    joint form once: their ``linear`` matrices side by side ``(w, (m+1) w)``,
-    their fields ordered ``[Re, Re, ..., Im, Im, ...]`` over all grids (the
-    operator's 3/2 grid, the energy gradient's ``n``-point grid, none for an
-    affine gradient) and their tests as one block matrix, whose columns stop
-    at the last form with a grid (such gradients come first in ``G``).  One
-    evaluation is three GEMMs and one modulus pass, giving ``[f; G]``.  The
-    unit metric of the orthonormal modes makes the correction straight-line:
-    one GEMM gives ``b = G f`` and ``C = G G^T``, a row whose ``C`` diagonal
-    is at most ``DEGENERACY_TOL^2`` is dropped (the kernel's mask), the
-    active system goes to :func:`core._solve_small`, and whatever that
-    declines to :func:`core.solve_lagrange`.  The result is ``f - lambda G``,
-    or ``f`` itself when no row is active.  It agrees with :func:`rom_rhs` to
-    round-off, not bitwise: the products are summed in another order.
+    The operator and the ``m`` declared gradient forms are evaluated together,
+    giving ``[f; G]``; the affine gradient of the mass has no grid, so forms
+    with a grid come first in ``G``.  A single state uses one joint form: the
+    ``linear`` matrices side by side ``(w, (m+1) w)``, the fields ordered
+    ``[Re, Re, ..., Im, Im, ...]`` over all grids (the operator's 3/2 grid,
+    the energy gradient's ``n``-point grid) and the tests as one block matrix
+    whose columns stop at the last form with a grid: three GEMMs and one
+    modulus pass.  A batch appends a column of ones to the states, so one
+    GEMM gives every affine part with its constant, and samples each form's
+    grid in a GEMM of its own with the offset as the last row: a joint test
+    matrix would be half zeros, which costs more than it saves once the
+    states are many.
+
+    The unit metric of the orthonormal modes makes the correction
+    straight-line: ``b = G f`` and ``C = G G^T`` come from one product
+    ``G [f; G]^T`` per member, and a row whose ``C`` diagonal is at most
+    ``DEGENERACY_TOL^2`` is masked, member by member, as the kernel masks it.
+    A single state's active system goes to :func:`core._solve_small`, a
+    batch's pairs (``m = 2``) to :func:`core._solve_pairs`, and whatever
+    those decline to :func:`core.solve_lagrange`.  The result is
+    ``f - lambda G``, or ``f`` itself when no row is active anywhere.  It
+    agrees with :func:`rom_rhs` to round-off, not bitwise: the products are
+    summed in another order.
     """
     operator = basis.reduced_operator
     gradients = [getattr(q.value, "gradient_form", None) for q in quantities]
@@ -681,12 +690,13 @@ def _grons_single_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuanti
             test[start:start + g, columns] = f.test[:g]
             test[grid + start:grid + start + g, columns] = f.test[g:]
         start += g
+    affine = np.vstack([linear, constant])
+    cubics = [(slice(k * width, (k + 1) * width), np.vstack([f.field, f.field_offset]), f.test)
+              for k, (f, g) in enumerate(zip(forms, grids)) if g]
     rows = range(len(forms) - 1)
     floor = core.DEGENERACY_TOL * core.DEGENERACY_TOL
 
-    def rhs(a: np.ndarray) -> np.ndarray:
-        if a.shape != (width,):
-            raise DimensionError(f"state has shape {a.shape}, expected ({width},)")
+    def single(a: np.ndarray) -> np.ndarray:
         v = a @ field
         v += offset
         u = v.reshape(2, grid)                             # [Re u, -Im u]
@@ -711,6 +721,38 @@ def _grons_single_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuanti
             g = g[active]
         return f - np.dot(lam, g)
 
+    def batch(a: np.ndarray) -> np.ndarray:
+        lead = a.shape[:-1]
+        ext = np.empty(lead + (width + 1,))               # [a, 1]
+        ext[..., :width] = a
+        ext[..., width] = 1.0
+        out = ext @ affine
+        for columns, form_field, form_test in cubics:
+            v = ext @ form_field
+            u = v.reshape(lead + (2, -1))                  # [Re u, -Im u]
+            u *= np.einsum("...ki,...ki->...i", u, u)[..., None, :]
+            out[..., columns] += v @ form_test
+        out = out.reshape(lead + (-1, width))              # [f; G] per member
+        f, g = out[..., 0, :], out[..., 1:, :]
+        products = g @ out.swapaxes(-1, -2)                # row k: [G_k f, C_k]
+        b, c = products[..., 0], products[..., 1:]
+        diagonal = c.diagonal(axis1=-2, axis2=-1)
+        if not diagonal.min() > floor:
+            active = diagonal > floor
+            if not active.any():
+                return f
+            c = np.where(active[..., :, None] & active[..., None, :], c, 0.0)
+            b = np.where(active, b, 0.0)
+        lam = core._solve_pairs(c, b) if len(rows) == 2 else None
+        if lam is None:
+            lam = core.solve_lagrange(c, b)
+        return f - (lam[..., None, :] @ g)[..., 0, :]
+
+    def rhs(a: np.ndarray) -> np.ndarray:
+        if a.shape[-1:] != (width,):
+            raise DimensionError(f"state has shape {a.shape}, expected (..., {width})")
+        return single(a) if a.ndim == 1 else batch(a)
+
     return rhs
 
 
@@ -727,18 +769,17 @@ def rom_run(
     Batch-transparent: a ``(2 N,)`` state is one run and a ``(B, 2 N)`` stack
     advances ``B`` runs together, with the outputs of :func:`_run_output`.
     The quantities are prepared as one :class:`~rons.core.ConstraintSet` for
-    the run.  A single constrained run whose quantities all declare their
-    gradient forms (those of :func:`rom_quantities`) evaluates the operator
-    and every gradient in one pass of :func:`_grons_single_rhs`, which
-    agrees with :func:`rom_rhs` to round-off; a batch, a plain run and any
-    other quantities go through :func:`rom_rhs`.  A single run carries no
-    batch axis because a leading axis of one is slower: the correction would
-    treat its gradients as per-member ones and skip the Python-float solve
-    of one small system.
+    the run.  A constrained run whose quantities all declare their gradient
+    forms (those of :func:`rom_quantities`) evaluates the operator and every
+    gradient in one pass of :func:`_grons_joint_rhs`, which agrees with
+    :func:`rom_rhs` to round-off; a plain run and any other quantities go
+    through :func:`rom_rhs`.  A single run carries no batch axis because a
+    leading axis of one is slower: it would take the batch's numpy solve in
+    place of the Python-float solve of one small system.
     """
     a0 = core.state_values(a0)
     constraints = core.ConstraintSet(basis.metric, quantities)
-    rhs = _grons_single_rhs(basis, constraints) if a0.ndim == 1 else None
+    rhs = _grons_joint_rhs(basis, constraints)
     traj = integrate(
         rhs or (lambda a: rom_rhs(a, basis, constraints)),
         a0,

@@ -65,6 +65,22 @@ class TestPairs:
         assert order == ["parent", "change", "change", "parent", "parent", "change"]
         assert parent == [1, 4, 5] and change == [2, 3, 6]
 
+    def test_fastest_keeps_the_highest_of_the_repeats(self):
+        rates = iter([3.0, 5.0, 4.0, 9.0])
+        calls = []
+        run = lambda: calls.append(1) or next(rates)  # noqa: E731
+        assert ab_inprocess.fastest(run, 3) == 5.0 and len(calls) == 3
+        assert ab_inprocess.fastest(run, 1) == 9.0 and len(calls) == 4
+
+    def test_repeats_run_within_each_sides_turn(self):
+        order = []
+        runs = {side: (lambda side=side: ab_inprocess.fastest(
+                    lambda: order.append(side) or len(order), 2))
+                for side in ab_inprocess.SIDES}
+        parent, change = ab_inprocess.alternate(runs, 2)
+        assert order == ["parent"] * 2 + ["change"] * 4 + ["parent"] * 2
+        assert parent == [2, 8] and change == [4, 6]
+
     def test_pair_ratios(self):
         out = ab_inprocess.pair_ratios([10.0, 10.0, 20.0, 10.0], [15.0, 12.0, 20.0, 9.0])
         assert out["ratio_per_pair"] == [1.5, 1.2, 1.0, 0.9]

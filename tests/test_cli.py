@@ -192,6 +192,32 @@ def test_malformed_snapshots_exit_one(tmp_path, capsys, case, command):
     assert not out.exists()
 
 
+MISSING_FILE_COMMANDS = {
+    "pod": lambda missing, tmp_path: ["pod", missing, "--modes", "1",
+                                      "--out", str(tmp_path / "basis.json")],
+    "metrics": lambda missing, tmp_path: ["metrics", missing, missing],
+    "run-basis": lambda missing, tmp_path: ["run", write_config(tmp_path, f"""
+[run]
+model = nls-rom
+scheme = g-rons
+[nls]
+basis = {missing}
+rom_modes = 3
+"""), "--output", str(tmp_path / "out")],
+}
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".npz", ".json"])
+@pytest.mark.parametrize("command", sorted(MISSING_FILE_COMMANDS))
+def test_missing_file_exit_one_naming_it(tmp_path, capsys, command, suffix):
+    missing = str(tmp_path / f"nope{suffix}")
+    assert main(MISSING_FILE_COMMANDS[command](missing, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert missing in err
+    assert not (tmp_path / "basis.json").exists()
+
+
 class TestMetricsCommand:
     def test_errors_between_series(self, tmp_path, capsys, rng):
         u = 0.1 * (rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32)))

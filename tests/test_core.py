@@ -536,6 +536,13 @@ class TestGronsRhs:
         assert np.allclose(core.grons_rhs(np.zeros(2), lambda a: np.array([2.0, 4.0]),
                                           constraints), [1.0, 2.0])
 
+    @pytest.mark.parametrize("given", ["tuple", "list", "empty"])
+    def test_unprepared_constraints_rejected_naming_the_fix(self, given):
+        q = quadratic_quantity("q", np.eye(2))
+        constraints = {"tuple": (q,), "list": [q], "empty": ()}[given]
+        with pytest.raises(ValidationError, match=r"core\.ConstraintSet\(metric, quantities\)"):
+            core.grons_rhs(np.array([1.0, 0.0]), lambda a: np.array([1.0, 1.0]), constraints)
+
     def test_classical_equivalence_bitwise(self, rng):
         metric = core.assemble_metric(random_spd(rng, 6))
         f = rng.standard_normal(6)

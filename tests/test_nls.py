@@ -559,7 +559,7 @@ class TestConstrainedBatch:
 
 JOINT_BASIS = pod_basis_with_mean(n_modes=4)
 JOINT_QUANTITIES = nls.rom_quantities(JOINT_BASIS)
-JOINT_RHS = nls._grons_single_rhs(JOINT_BASIS, JOINT_QUANTITIES)
+JOINT_RHS = nls._grons_joint_rhs(JOINT_BASIS, JOINT_QUANTITIES)
 JOINT_SET = prepared(JOINT_BASIS, JOINT_QUANTITIES)
 
 
@@ -598,7 +598,7 @@ class TestSingleRunJointForm:
         quantities = nls.rom_quantities(basis)
         a = np.zeros(2 * basis.n_modes)
         assert not any(q.gradient(a).any() for q in quantities)
-        got = nls._grons_single_rhs(basis, quantities)(a)
+        got = nls._grons_joint_rhs(basis, quantities)(a)
         assert np.array_equal(got, basis.reduced_operator(a))
         assert np.array_equal(got, nls.rom_rhs(a, basis, prepared(basis, quantities)))
 
@@ -607,7 +607,7 @@ class TestSingleRunJointForm:
     def test_masks_a_vanishing_row_as_the_kernel_does(self, kept, a):
         live, null = JOINT_QUANTITIES[kept], null_quantity(JOINT_BASIS.n_modes)
         quantities = (live, null) if kept == 0 else (null, live)
-        got = nls._grons_single_rhs(JOINT_BASIS, quantities)(a)
+        got = nls._grons_joint_rhs(JOINT_BASIS, quantities)(a)
         want = nls.rom_rhs(a, JOINT_BASIS, prepared(JOINT_BASIS, quantities))
         assert_relative_close(got, want, 1e-13)
         want = nls.rom_rhs(a, JOINT_BASIS, prepared(JOINT_BASIS, (live,)))
@@ -623,7 +623,7 @@ class TestSingleRunJointForm:
         solve = core.solve_lagrange
         calls = []
         monkeypatch.setattr(core, "solve_lagrange", lambda c, b: calls.append(b) or solve(c, b))
-        joint = nls._grons_single_rhs(JOINT_BASIS, quantities)
+        joint = nls._grons_joint_rhs(JOINT_BASIS, quantities)
         with pytest.warns(IllConditionedConstraintWarning):
             got = joint(a)
         assert len(calls) == 1 and calls[0].shape == (2,)
@@ -638,11 +638,109 @@ class TestSingleRunJointForm:
         basis = pod_basis_with_mean()
         mass, energy = nls.rom_quantities(basis)
         undeclared = core.ConservedQuantity("mass", lambda a: mass.value(a), mass.gradient)
-        assert nls._grons_single_rhs(basis, ()) is None
-        assert nls._grons_single_rhs(basis, (undeclared, energy)) is None
+        assert nls._grons_joint_rhs(basis, ()) is None
+        assert nls._grons_joint_rhs(basis, (undeclared, energy)) is None
         operator = basis.reduced_operator
         basis.__dict__["reduced_operator"] = lambda values: operator(values)
-        assert nls._grons_single_rhs(basis, (mass, energy)) is None
+        assert nls._grons_joint_rhs(basis, (mass, energy)) is None
+
+
+@st.composite
+def batched_states(draw):
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 3.0]))
+    members = draw(st.sampled_from([1, 3, 8]))
+    unit = hnp.arrays(float, (members, 2 * JOINT_BASIS.n_modes), elements=st.floats(-1.0, 1.0))
+    return scale * draw(unit)
+
+
+def forbid_generic_route(monkeypatch):
+    """Make the kernel and every quantity's ``gradient`` fail if called; the
+    quantities of :data:`JOINT_BASIS` with their values (and forms) kept."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run left the one-pass route")
+
+    monkeypatch.setattr(core, "apply_invariant_correction", forbidden)
+    return tuple(core.ConservedQuantity(q.name, q.value, forbidden) for q in JOINT_QUANTITIES)
+
+
+class TestBatchedJointForm:
+    """The one-pass derivative of a batch against :func:`nls.rom_rhs` and
+    against the single-state route, member by member."""
+
+    @given(batched_states())
+    def test_matches_rom_rhs_and_is_tangent(self, a):
+        got = JOINT_RHS(a)
+        want = nls.rom_rhs(a, JOINT_BASIS, JOINT_SET)
+        for member, state in enumerate(a):
+            assert_relative_close(got[member], want[member], 1e-13)
+            assert_tangent(got[member], [q.gradient(state) for q in JOINT_QUANTITIES])
+
+    @given(batched_states())
+    def test_each_member_matches_the_single_state_route(self, a):
+        got = JOINT_RHS(a)
+        for member, state in enumerate(a):
+            assert_relative_close(got[member], JOINT_RHS(state), 1e-13)
+
+    def test_masks_only_the_member_whose_gradients_vanish(self, rng):
+        basis = nls.PodBasis(np.zeros(N_GRID, dtype=complex), JOINT_BASIS.modes, LENGTH,
+                             JOINT_BASIS.singular_values)
+        quantities = nls.rom_quantities(basis)
+        a = 0.4 * rng.standard_normal((3, 2 * basis.n_modes))
+        a[1] = 0.0
+        assert not any(q.gradient(a[1]).any() for q in quantities)
+        got = nls._grons_joint_rhs(basis, quantities)(a)
+        assert np.array_equal(got[1], basis.reduced_operator(a[1]))
+        want = nls.rom_rhs(a, basis, prepared(basis, quantities))
+        for member in (0, 2):
+            assert_relative_close(got[member], want[member], 1e-13)
+            assert_tangent(got[member], [q.gradient(a[member]) for q in quantities])
+            assert np.max(np.abs(got[member] - basis.reduced_operator(a[member]))) > 1e-6
+
+    def test_twin_mass_row_warns_once_and_uses_lstsq(self, rng, monkeypatch):
+        mass = JOINT_QUANTITIES[0]
+        quantities = (mass, core.ConservedQuantity("twin", mass.value, mass.gradient))
+        a = 0.4 * rng.standard_normal((3, 2 * JOINT_BASIS.n_modes))
+        lstsq = np.linalg.lstsq
+        calls = []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1)
+                            or lstsq(*args, **kw))
+        with pytest.warns(IllConditionedConstraintWarning) as record:
+            got = nls._grons_joint_rhs(JOINT_BASIS, quantities)(a)
+        assert len(record) == 1 and len(calls) == len(a)
+        with pytest.warns(IllConditionedConstraintWarning):
+            want = nls.rom_rhs(a, JOINT_BASIS, prepared(JOINT_BASIS, quantities))
+        for member, state in enumerate(a):
+            assert_relative_close(got[member], want[member], 1e-13)
+            assert_tangent(got[member], [mass.gradient(state)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_multipliers_raise_divergence_with_time(self, rng, monkeypatch, bad):
+        # the batch's closed-form solve hands back non-finite multipliers at
+        # step 2, stage 2
+        quantities = forbid_generic_route(monkeypatch)
+        solve = core._solve_pairs
+        calls = []
+
+        def failing(c, b):
+            calls.append(1)
+            lam = solve(c, b)
+            return np.full_like(lam, bad) if len(calls) == 6 else lam
+
+        monkeypatch.setattr(core, "_solve_pairs", failing)
+        a0 = 0.4 * rng.standard_normal((3, 2 * JOINT_BASIS.n_modes))
+        with pytest.raises(DivergenceError, match="RK4 step at t=") as info:
+            with np.errstate(invalid="ignore", over="ignore"):
+                nls.rom_run(a0, JOINT_BASIS, 1.0, 0.5, 1 / 32, quantities=quantities)
+        assert info.value.time == 1 / 32
+        # stages 3 and 4 see non-finite states, whose rows are all inactive
+        assert len(calls) == 6
+
+    def test_batched_run_calls_no_kernel_and_no_gradient(self, rng, monkeypatch):
+        a0 = 0.4 * rng.standard_normal((3, 2 * JOINT_BASIS.n_modes))
+        series, diag = nls.rom_run(a0, JOINT_BASIS, 0.5, 0.25, 1 / 32,
+                                   quantities=forbid_generic_route(monkeypatch))
+        assert len(series) == len(a0) and diag["n_steps"] == 16
+        assert np.all(diag["mass_drift"] < 1e-8) and np.all(diag["energy_drift"] < 1e-8)
 
 
 class TestReducedModelDivergence:

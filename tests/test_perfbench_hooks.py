@@ -59,27 +59,31 @@ def test_rewrapped_quantities_leave_outputs_bitwise_unchanged(rng):
     for before, after in zip(untraced, traced):
         assert np.array_equal(before, after)
 
-    # a single reduced-model run chooses its one-pass route by the values,
-    # which the rebuild keeps, so both passes take it and agree bitwise
+    # a reduced-model run, single or batched, chooses its one-pass route by
+    # the values, which the rebuild keeps, so both passes take it and agree
+    # bitwise
     built = []
-    choose = nls._grons_single_rhs
+    choose = nls._grons_joint_rhs
 
     def spy(*args):
         built.append(choose(*args))
         return built[-1]
 
-    def single_run():
+    def runs():
         series, diag = nls.rom_run(A[0], basis, 0.25, 0.125, 1 / 32,
                                    quantities=nls.rom_quantities(basis))
-        return [series.times, series.snapshots, diag["mass"], diag["energy"]]
+        batch, batch_diag = nls.rom_run(A, basis, 0.25, 0.125, 1 / 32,
+                                        quantities=nls.rom_quantities(basis))
+        return [series.times, series.snapshots, diag["mass"], diag["energy"],
+                *(s.snapshots for s in batch), batch_diag["mass"], batch_diag["energy"]]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nls, "_grons_single_rhs", spy)
-        untraced = single_run()
+        patch.setattr(nls, "_grons_joint_rhs", spy)
+        untraced = runs()
         tracer = Tracer()
         with tracer.installed(layers.patches(tracer)):
-            traced = single_run()
-    assert len(built) == 2 and all(callable(rhs) for rhs in built)
+            traced = runs()
+    assert len(built) == 4 and all(callable(rhs) for rhs in built)
     names = {span[0] for span in tracer.spans}
     assert "nls.integrate" in names
     assert not names & {"nls.rom.grad", "core.apply_invariant_correction"}

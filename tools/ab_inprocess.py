@@ -1,7 +1,7 @@
 """Time perfbench phases of two commits in alternating pairs, in one process.
 
     python tools/ab_inprocess.py --parent HEAD~1 --change HEAD --workload nls-rom \\
-        --phases rons_single --pairs 21 --label my_change
+        --phases rons_single --pairs 21 --repeats 3 --label my_change
 
 Each revision's committed files are exported with ``bench_pairs.export`` into
 a directory of its own under ``--work``.  Both revisions' ``src/rons`` are
@@ -10,9 +10,12 @@ then imported side by side under distinct package names (``rons_parent`` and
 against its own package, so each side's inputs, set-up and phases run that
 revision's code with perfbench's phase configs.  Each side sets up once and
 runs every phase once untimed.  Then, for each phase, every pair runs the
-phase once per side, the side that runs first alternating from pair to pair
-(parent first on the first pair), and records member-steps per second of
-wall time (``time.perf_counter``, after a ``gc.collect``).
+phase ``--repeats`` times per side, the side that runs first alternating
+from pair to pair (parent first on the first pair), and records each side's
+fastest run in member-steps per second of wall time (``time.perf_counter``,
+after a ``gc.collect``).  One run per side per pair reads quartiles of about
+±4% on a revision against itself; the fastest of a few runs drops the runs
+that a passing load slowed.
 
 ``AB_<label>.json`` gets, per phase, ``bench_pairs.summarize`` of the two
 sides' rates plus the change/parent ratio of every pair with its median and
@@ -101,6 +104,11 @@ def rate(workload, phase: str, state) -> float:
     return workload.member_steps(phase, result) / took
 
 
+def fastest(run, repeats: int) -> float:
+    """The highest of ``repeats`` rates that ``run()`` returns."""
+    return max(run() for _ in range(repeats))
+
+
 def alternate(runs: dict, pairs: int) -> tuple[list[float], list[float]]:
     """``runs[side]()`` once per side per pair, the parent first on even
     pairs; the two sides' values in pair order."""
@@ -129,6 +137,8 @@ def main(argv=None) -> int:
     parser.add_argument("--phases", default=None,
                         help="comma list of the workload's phases (default: all of them)")
     parser.add_argument("--pairs", type=int, default=21)
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="runs of each phase per side per pair; the fastest is kept")
     parser.add_argument("--seed", type=int, default=0, help="perfbench input seed")
     parser.add_argument("--label", required=True, help="output is AB_<label>.json")
     parser.add_argument("--repo", type=Path, default=REPO, help="git repository to export from")
@@ -140,6 +150,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("need at least one pair")
+    if args.repeats < 1:
+        parser.error("need at least one run per side per pair")
     sys.path.insert(0, str(REPO / "perfbench"))
     from run import limit_threads
 
@@ -161,13 +173,15 @@ def main(argv=None) -> int:
                 rate(workloads[side], phase, states[side])
         result = {"label": args.label, "parent": commits["parent"],
                   "change": commits["change"], "workload": args.workload,
-                  "seed": args.seed, "pairs": args.pairs,
+                  "seed": args.seed, "pairs": args.pairs, "repeats": args.repeats,
                   "harness": "tools/ab_inprocess.py: both revisions imported in one process; "
-                             "per pair one run of the phase per side, the side that runs "
-                             "first alternating (parent first on the first pair)",
+                             "per pair the fastest of `repeats` runs of the phase per side, "
+                             "the side that runs first alternating (parent first on the "
+                             "first pair)",
                   "phases": {}}
         for phase in phases:
-            runs = {side: lambda side=side: rate(workloads[side], phase, states[side])
+            runs = {side: lambda side=side: fastest(
+                        lambda: rate(workloads[side], phase, states[side]), args.repeats)
                     for side in SIDES}
             summary = pair_ratios(*alternate(runs, args.pairs))
             result["phases"][phase] = summary
