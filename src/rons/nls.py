@@ -696,32 +696,9 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
     rows = range(len(forms) - 1)
     floor = core.DEGENERACY_TOL * core.DEGENERACY_TOL
 
-    def single(a: np.ndarray) -> np.ndarray:
-        v = a @ field
-        v += offset
-        u = v.reshape(2, grid)                             # [Re u, -Im u]
-        modulus2 = u[0] * u[0]
-        modulus2 += u[1] * u[1]
-        u *= modulus2
-        out = a @ linear
-        out += constant
-        out[:spanned * width] += v @ test
-        out = out.reshape(-1, width)                       # [f; G]
-        f, g = out[0], out[1:]
-        products = (g @ out.T).tolist()                    # row k: [G_k f, C_k]
-        active = [k for k in rows if products[k][k + 1] > floor]
-        if not active:
-            return f
-        c = [[products[i][j + 1] for j in active] for i in active]
-        b = [products[i][0] for i in active]
-        lam = core._solve_small(c, b) if len(b) <= 3 else None
-        if lam is None:
-            lam = core.solve_lagrange(np.array(c), np.array(b))
-        if len(active) < len(rows):
-            g = g[active]
-        return f - np.dot(lam, g)
-
     def batch(a: np.ndarray) -> np.ndarray:
+        if a.shape[-1] != width:
+            raise DimensionError(f"states have shape {a.shape}, expected (..., {width})")
         lead = a.shape[:-1]
         ext = np.empty(lead + (width + 1,))               # [a, 1]
         ext[..., :width] = a
@@ -749,9 +726,33 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
         return f - (lam[..., None, :] @ g)[..., 0, :]
 
     def rhs(a: np.ndarray) -> np.ndarray:
-        if a.shape[-1:] != (width,):
-            raise DimensionError(f"state has shape {a.shape}, expected (..., {width})")
-        return single(a) if a.ndim == 1 else batch(a)
+        if a.ndim > 1:
+            return batch(a)
+        if a.shape != (width,):
+            raise DimensionError(f"state has shape {a.shape}, expected ({width},)")
+        v = a @ field
+        v += offset
+        u = v.reshape(2, grid)                             # [Re u, -Im u]
+        modulus2 = u[0] * u[0]
+        modulus2 += u[1] * u[1]
+        u *= modulus2
+        out = a @ linear
+        out += constant
+        out[:spanned * width] += v @ test
+        out = out.reshape(-1, width)                       # [f; G]
+        f, g = out[0], out[1:]
+        products = (g @ out.T).tolist()                    # row k: [G_k f, C_k]
+        active = [k for k in rows if products[k][k + 1] > floor]
+        if not active:
+            return f
+        c = [[products[i][j + 1] for j in active] for i in active]
+        b = [products[i][0] for i in active]
+        lam = core._solve_small(c, b) if len(b) <= 3 else None
+        if lam is None:
+            lam = core.solve_lagrange(np.array(c), np.array(b))
+        if len(active) < len(rows):
+            g = g[active]
+        return f - np.dot(lam, g)
 
     return rhs
 
