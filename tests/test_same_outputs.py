@@ -56,6 +56,17 @@ class TestShorten:
         assert rom.get("nls", "training_horizon") == "5"
         assert rom.get("nls", "rom_modes") == "9"
 
+    def test_reduced_model_ensemble_samples_inside_the_shortened_run(self):
+        text, ensemble = same_outputs.shorten(
+            "[run]\nmodel = nls-rom\nscheme = g-rons\nseeds = 0..3\n"
+            "[time]\nhorizon = 100\n[sampling]\nwindow = 25, 75\n")
+        parser = _parsed(text)
+        assert ensemble
+        assert parser.get("run", "seeds") == "0..3"
+        assert parser.get("time", "horizon") == "5"
+        lo, hi = map(float, parser.get("sampling", "window").split(","))
+        assert 0 <= lo < hi <= 5
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="heat"):
             same_outputs.shorten("[run]\nmodel = heat\n")

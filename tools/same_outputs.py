@@ -33,6 +33,8 @@ SHORTENED = {
     ("swe", True): {"run.seeds": "0..5", "time.horizon": "27", "sampling.window": "25, 27"},
     ("nls-dns", False): {"time.horizon": "3"},
     ("nls-rom", False): {"time.horizon": "5", "nls.training_horizon": "5"},
+    ("nls-rom", True): {"time.horizon": "5", "nls.training_horizon": "5",
+                        "sampling.window": "2, 5"},
 }
 
 #: files left out of the comparison: they hold wall-clock timings
