@@ -7,7 +7,9 @@ output choices.  The fields of :class:`RunConfig` are the one table of run
 settings: each gives its INI key, the converter from the key's text, its
 default and the models that read it.  A file may set only the keys its model
 reads; any other key is rejected by name, so typos cannot silently fall back
-to defaults.
+to defaults.  :meth:`RunConfig.validate` checks each setting;
+:meth:`RunConfig.check_before_run` checks the seed and snapshot-time lists
+and the sampling window against the horizon, before a run starts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -57,6 +60,13 @@ def _whole_numbers(text: str) -> tuple[int, ...]:
     if fractional:
         raise ValueError(f"not whole numbers: {', '.join(map(str, fractional))}")
     return tuple(int(value) for value in values)
+
+
+def _repeated(values) -> str:
+    """The values that occur more than once, comma-separated; empty if none."""
+    if len(set(values)) == len(values):
+        return ""
+    return ", ".join(str(v) for v, count in Counter(values).items() if count > 1)
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -109,6 +119,7 @@ class RunConfig:
 
     swe_ic: str = _setting("swe.ic", str.strip, "gaussian", (SWE,))
     theta: float = _setting("swe.theta", float, 1.2, (SWE,))
+    # non-negative and distinct (check_before_run); times past the horizon are dropped
     snapshot_times: tuple[float, ...] = _setting(
         "swe.snapshot_times", _floats, (0.0, 0.5, 2.0, 7.0, 10.0), (SWE,))
     # None follows the scheme: every quantity for fv-rons, none for fv
@@ -196,6 +207,31 @@ class RunConfig:
                 raise ConfigError("nls ic must be 'random' or 'project'")
             if self.rom_modes < 1:
                 raise ConfigError("nls.rom_modes must be at least 1")
+        return self
+
+    def check_before_run(self):
+        """Reject what only a run would trip on; returns ``self``.
+
+        An ensemble may not name a seed twice, and its sampling window must
+        start before the horizon.  Shallow-water snapshot times must be
+        non-negative and distinct; those past the horizon are dropped by the
+        run, not rejected.  These checks pass over whole lists, so they are
+        kept out of :meth:`validate`, which set-up paths call once per run
+        config; :func:`rons.runner.run_experiment` makes them before
+        anything runs.
+        """
+        if self.seeds is not None:
+            if repeated := _repeated(self.seeds):
+                raise ConfigError(f"run.seeds names seed(s) {repeated} more than once")
+            if self.sample_window[0] >= self.horizon:
+                raise ConfigError(f"sampling window starts at {self.sample_window[0]}, at or "
+                                  f"after the time horizon {self.horizon}")
+        if self.model == SWE:
+            if min(self.snapshot_times, default=0.0) < 0:
+                raise ConfigError("swe.snapshot_times must not be negative: "
+                                  f"{min(self.snapshot_times)}")
+            if repeated := _repeated(self.snapshot_times):
+                raise ConfigError(f"swe.snapshot_times names {repeated} more than once")
         return self
 
     def resolved_out_dir(self) -> Path:

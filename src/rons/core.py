@@ -10,7 +10,12 @@ throughout is ``T(z) = [Re z, -Im z]`` per component, together with the real
 metric ``[[Re P, Im P], [-Im P, Re P]]`` built from the Hermitian pairing
 matrix ``P``.  Under this pairing ``T(P z) = complexify(P) @ T(z)`` holds
 exactly, so the stacked real solve reproduces the complex Galerkin solve
-entrywise; see ``tests/test_core.py`` for the verification.
+entrywise; see ``tests/test_core.py`` for the verification.  The stacking
+is defined here once: :func:`stack_complex`, :func:`unstack_complex` and
+:func:`real_form` build and invert it, and every other module calls them.
+
+Random initial conditions of every model draw through
+:func:`positive_profile`, the one seeded retry-and-warn loop.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +32,7 @@ from .errors import (
     ConstraintConditioningError,
     DimensionError,
     IllConditionedConstraintWarning,
+    ResampledInitialConditionWarning,
     SingularMetricError,
     ValidationError,
 )
@@ -49,9 +54,36 @@ _GERSHGORIN_ROW_SUM = 2.0 * CONDITION_LIMIT / (1.0 + CONDITION_LIMIT)
 #: test on the pivot makes both checks, and the bound is positive.
 _PAIR_PIVOT_MIN = 1.0 - (_GERSHGORIN_ROW_SUM - 1.0) ** 2
 
+#: Seeds tried by :func:`positive_profile` for one random initial condition.
+IC_MAX_RESAMPLES = 16
+
 _SYMMETRY_RTOL = 1e-12
 _DIAGONAL_RTOL = 1e-14
 _IDENTITY_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# Complex coefficients as stacked real vectors
+
+
+def stack_complex(z) -> np.ndarray:
+    """Stacked real storage ``[Re z, -Im z]`` of complex vectors along the
+    last axis; batch-transparent over leading axes."""
+    z = np.asarray(z)
+    return np.concatenate([z.real, -z.imag], axis=-1)
+
+
+def unstack_complex(a) -> np.ndarray:
+    """Complex vectors ``a_re - i a_im`` of stacked real storage
+    ``(..., 2 N)``; the inverse of :func:`stack_complex`."""
+    n = a.shape[-1] // 2
+    return a[..., :n] - 1j * a[..., n:]
+
+
+def real_form(matrix) -> np.ndarray:
+    """The real matrix acting on stacked row vectors as ``matrix`` acts on
+    complex row vectors: ``stack_complex(z @ M) == stack_complex(z) @ real_form(M)``."""
+    return np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +161,10 @@ class ParameterLayout:
                     f"component vector has shape {arr.shape}, expected ({comp.size},)"
                 )
             if comp.is_complex:
-                arr = arr.astype(complex, copy=False)
-                out.append(arr.real.copy())
-                out.append(-arr.imag)
+                out.append(stack_complex(arr.astype(complex, copy=False)))
+            elif np.iscomplexobj(arr):
+                raise ValidationError("real component given complex data")
             else:
-                if np.iscomplexobj(arr):
-                    raise ValidationError("real component given complex data")
                 out.append(arr.astype(float, copy=True))
         return np.concatenate(out)
 
@@ -148,10 +178,7 @@ class ParameterLayout:
         parts = []
         for comp, sl in zip(self.components, self.slices()):
             block = values[sl]
-            if comp.is_complex:
-                parts.append(block[: comp.size] - 1j * block[comp.size :])
-            else:
-                parts.append(block.copy())
+            parts.append(unstack_complex(block) if comp.is_complex else block.copy())
         return parts
 
 
@@ -192,14 +219,13 @@ class MetricTensor:
     a solve they did not allocate.
     """
 
-    def __init__(self, kind, *, dense=None, diag=None, boundaries=None):
+    def __init__(self, kind, *, dense=None, diag=None):
         self.kind = kind
         self._dense = dense
         self._diag = diag
         self._chol = None
         self._singular = None
         self._unit = None
-        self.boundaries = boundaries
 
     # -- constructors -------------------------------------------------------
 
@@ -287,12 +313,11 @@ def assemble_metric(inner_products) -> MetricTensor:
 def assemble_block_metric(blocks: Sequence) -> MetricTensor:
     """Assemble a block-diagonal metric from per-component metrics.
 
-    Accepts :class:`MetricTensor` blocks or raw pairing matrices.  Component
-    boundaries are recorded so systems of PDEs keep their field offsets.
-    Diagonal blocks merge into one diagonal metric, a lone block becomes a
-    new metric of its kind sharing its read-only arrays (the caller's block
-    is left as it was), and any other mix becomes one metric of the
-    block-diagonal matrix.
+    Accepts :class:`MetricTensor` blocks or raw pairing matrices.  A lone
+    block is returned as it is, diagonal blocks merge into one diagonal
+    metric, and any other mix becomes one metric of the block-diagonal
+    matrix.  The blocks keep the order of the components, so field offsets
+    are those of the matching :class:`ParameterLayout`.
     """
     if not blocks:
         raise ValidationError("block metric needs at least one block")
@@ -300,14 +325,10 @@ def assemble_block_metric(blocks: Sequence) -> MetricTensor:
         b if isinstance(b, MetricTensor) else assemble_metric(b) for b in blocks
     ]
     if len(tensors) == 1:
-        lone = tensors[0]
-        merged = MetricTensor(lone.kind, dense=lone._dense, diag=lone._diag)
-    elif all(t.kind == "diagonal" for t in tensors):
-        merged = MetricTensor.from_diagonal(np.concatenate([t._diag for t in tensors]))
-    else:
-        merged = assemble_metric(linalg.block_diag(*(t.toarray() for t in tensors)))
-    merged.boundaries = tuple(accumulate((t.size for t in tensors), initial=0))
-    return merged
+        return tensors[0]
+    if all(t.kind == "diagonal" for t in tensors):
+        return MetricTensor.from_diagonal(np.concatenate([t._diag for t in tensors]))
+    return assemble_metric(linalg.block_diag(*(t.toarray() for t in tensors)))
 
 
 def complexify_metric(complex_pairings) -> MetricTensor:
@@ -315,7 +336,8 @@ def complexify_metric(complex_pairings) -> MetricTensor:
 
     Given the Hermitian pairing matrix ``P`` this is the real matrix
     ``[[Re P, Im P], [-Im P, Re P]]``, which represents ``z -> P z`` in the
-    ``[Re z, -Im z]`` stacking.  Symmetric by construction, and positive
+    ``[Re z, -Im z]`` stacking: :func:`real_form` of ``conj(P)``, the
+    row-vector action of ``P``.  Symmetric by construction, and positive
     definite whenever the modes are independent.
     """
     p = np.asarray(complex_pairings, dtype=complex)
@@ -325,9 +347,7 @@ def complexify_metric(complex_pairings) -> MetricTensor:
     if scale > 0 and np.max(np.abs(p - p.conj().T)) > _SYMMETRY_RTOL * scale:
         raise ValidationError("pairing matrix is not Hermitian within tolerance")
     p = 0.5 * (p + p.conj().T)
-    a, b = p.real, p.imag
-    real = np.block([[a, b], [-b, a]])
-    return assemble_metric(real)
+    return assemble_metric(real_form(p.conj()))
 
 
 def assemble_rhs(projections, layout: ParameterLayout | None = None) -> np.ndarray:
@@ -339,10 +359,7 @@ def assemble_rhs(projections, layout: ParameterLayout | None = None) -> np.ndarr
     """
     if layout is None:
         arr = np.asarray(projections)
-        if np.iscomplexobj(arr):
-            layout = ParameterLayout.single_complex(arr.shape[0])
-        else:
-            layout = ParameterLayout.single_real(arr.shape[0])
+        layout = ParameterLayout((Component(arr.shape[0], np.iscomplexobj(arr)),))
         return layout.pack([arr])
     if isinstance(projections, np.ndarray) and len(layout.components) == 1:
         projections = [projections]
@@ -820,3 +837,30 @@ def grons_rhs(a, rhs: Callable[[np.ndarray], np.ndarray],
     a = state_values(a)
     velocity = constraints.metric.solve(np.asarray(rhs(a), dtype=float))
     return constraints.correct(velocity, a)
+
+
+# ---------------------------------------------------------------------------
+# Random initial conditions
+
+
+def positive_profile(draw: Callable[[np.random.Generator], np.ndarray], seed: int):
+    """``(profile, peak)`` of the first ``draw(rng)`` whose grid maximum
+    ``peak`` exceeds 1e-12.
+
+    ``rng`` is ``np.random.default_rng(seed + k)`` for ``k = 0, 1, ...``, up
+    to :data:`IC_MAX_RESAMPLES` seeds.  A draw from a later seed warns with
+    :class:`ResampledInitialConditionWarning`, so runs can log it; when every
+    draw fails the result is a :class:`ValidationError` naming ``seed``.
+    """
+    for attempt in range(IC_MAX_RESAMPLES):
+        profile = draw(np.random.default_rng(seed + attempt))
+        peak = float(np.max(profile))
+        if peak > 1e-12:
+            if attempt:
+                warnings.warn(
+                    f"initial condition resampled {attempt} time(s) from seed {seed}",
+                    ResampledInitialConditionWarning,
+                    stacklevel=3,
+                )
+            return profile, peak
+    raise ValidationError(f"could not draw a usable initial condition from seed {seed}")

@@ -28,13 +28,15 @@ def write_json(path, payload: dict):
         fh.write("\n")
 
 
-def _write_table(path, header, columns):
+def _write_table(path, header, columns, preamble=()):
     """A CSV of named float columns, one row per entry, each column
-    formatted once (:func:`format_float` of every value, byte for byte)."""
+    formatted once (:func:`format_float` of every value, byte for byte).
+    The ``preamble`` lines, if any, come before the header."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in preamble))
         fh.write("".join(",".join(row) + "\n" for row in [header, *zip(*cells)]))
 
 
@@ -79,19 +81,13 @@ def save_snapshots(path, series: SnapshotSeries):
         })
     else:
         n = series.snapshots.shape[1]
-        with open(path, "w") as fh:
-            fh.write("# snapshot-series\n")
-            fh.write(f"# length={format_float(series.length)}\n")
-            fh.write(f"# n_grid={n}\n")
-            cols = ["time"]
-            for j in range(n):
-                cols += [f"re_{j}", f"im_{j}"]
-            fh.write(",".join(cols) + "\n")
-            for t, row in zip(series.times, series.snapshots):
-                vals = [format_float(t)]
-                for v in row:
-                    vals += [format_float(v.real), format_float(v.imag)]
-                fh.write(",".join(vals) + "\n")
+        interleaved = np.empty((len(series.times), 2 * n))
+        interleaved[:, 0::2] = series.snapshots.real
+        interleaved[:, 1::2] = series.snapshots.imag
+        _write_table(path, ["time", *(f"{part}_{j}" for j in range(n) for part in ("re", "im"))],
+                     [series.times, *interleaved.T],
+                     ["# snapshot-series", f"# length={format_float(series.length)}",
+                      f"# n_grid={n}"])
 
 
 def load_snapshots(path) -> SnapshotSeries:
@@ -125,10 +121,8 @@ def _read_snapshots(path: Path) -> SnapshotSeries:
             payload = json.load(fh)
         if payload.get("kind") != "snapshot-series":
             raise ValidationError(f"{path} is not a snapshot series")
-        real = np.asarray(payload["real"], dtype=float)
-        imag = np.asarray(payload["imag"], dtype=float)
         times = np.asarray([float(t) for t in payload["times"]])
-        return SnapshotSeries(times, real + 1j * imag, float(payload["length"]))
+        return SnapshotSeries(times, _complex(payload), float(payload["length"]))
     # CSV
     length = n_grid = None
     times, rows = [], []
@@ -210,16 +204,13 @@ def _read_pod_basis(path: Path) -> PodBasis:
         if payload.get("kind") != "pod-basis":
             raise ValidationError(f"{path} is not a POD basis")
         length = float(payload["length"])
-        mean = np.asarray(payload["mean_real"], dtype=float) + 1j * np.asarray(
-            payload["mean_imag"], dtype=float
-        )
-        modes = np.asarray(payload["modes_real"], dtype=float) + 1j * np.asarray(
-            payload["modes_imag"], dtype=float
-        )
+        mean, modes = _complex(payload, "mean_"), _complex(payload, "modes_")
         sv = np.asarray([float(s) for s in payload["singular_values"]])
-    return PodBasis(
-        mean=mean,
-        modes=modes,
-        length=length,
-        singular_values=np.asarray(sv),
-    )
+    return PodBasis(mean=mean, modes=modes, length=length, singular_values=np.asarray(sv))
+
+
+def _complex(payload: dict, prefix: str = "") -> np.ndarray:
+    """The complex array a JSON container stores as its ``<prefix>real``
+    and ``<prefix>imag`` lists."""
+    return (np.asarray(payload[prefix + "real"], dtype=float)
+            + 1j * np.asarray(payload[prefix + "imag"], dtype=float))

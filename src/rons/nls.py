@@ -11,13 +11,13 @@ discrete (quadrature-level) functionals are what the constrained model keeps
 constant, so the tangency identity is exact at the level the code can test.
 
 Reduced states are real vectors stacking the complex mode amplitudes as
-``[Re z, -Im z]`` (see :mod:`rons.core`); with orthonormal modes the stacked
-metric is the identity and the plain-Galerkin path is a straight projection.
+``[Re z, -Im z]`` (built and inverted by :mod:`rons.core` alone); with
+orthonormal modes the stacked metric is the identity and the plain-Galerkin
+path is a straight projection.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -29,7 +29,6 @@ from .errors import (
     AlignmentError,
     DimensionError,
     RankError,
-    ResampledInitialConditionWarning,
     ValidationError,
 )
 from .integrators import StepSchedule, integrate, step_rk4
@@ -42,11 +41,10 @@ DEFAULT_ROM_MODES = 9
 #: RK4 step bound dt <= DT_SAFETY / k_max^2 for the stiffest dispersive mode.
 DT_SAFETY = 0.5
 
-#: Random initial states: the grid maximum of an envelope and the seeds tried
-#: for one (:func:`nls_random_ic`); the leading modes given a reduced
-#: amplitude (:func:`random_rom_ic`).
+#: Random initial states: the grid maximum of an envelope
+#: (:func:`nls_random_ic`); the leading modes given a reduced amplitude
+#: (:func:`random_rom_ic`).
 IC_AMPLITUDE = 0.13
-IC_MAX_RESAMPLES = 16
 ROM_IC_MODES = 5
 
 #: Magnitude below which :func:`relative_drift` stops dividing.
@@ -132,14 +130,19 @@ def _linear_multiplier(n: int, length: float) -> np.ndarray:
 
 
 def _dns_rhs(shape: tuple, length: float):
-    """The envelope derivative of :func:`_rhs_spectrum` for spectra of one
-    ``(..., n)`` shape, as a closure that owns its buffers.
+    """Spectral-space envelope derivative for spectra of one ``(..., n)``
+    shape, batch-transparent over leading axes, as a closure that owns its
+    buffers.
 
-    The closure holds the 3/2 grid's spectrum, whose zero middle is written
-    once, and one complex work array that both FFTs write into.  Each
-    evaluation copies the two retained halves into the padded spectrum,
-    cubes in place and returns a new array, with the per-element arithmetic
-    of the out-of-place evaluation, so the result is bitwise the same.
+    Two FFTs: the spectrum is padded onto the 3/2 grid, ``|u|^2 u`` is formed
+    there from one inverse FFT, and one forward FFT brings it back to be
+    truncated to the ``n`` retained modes.  The interpolation factor ``3/2``
+    enters the cubic three times and the truncation ``2/3`` once, so they
+    fold with ``-i/2`` into the one scalar ``-i/2 (3/2)^2``.  The closure
+    holds the 3/2 grid's spectrum, whose zero middle is written once, and one
+    complex work array that both FFTs write into; each evaluation copies the
+    two retained halves into the padded spectrum, cubes in place and returns
+    a new array.  A run holds one closure and reuses its buffers.
     """
     padded = _padded_spectrum(np.zeros(shape, dtype=complex))
     work = np.empty_like(padded)
@@ -162,27 +165,14 @@ def _dns_rhs(shape: tuple, length: float):
     return rhs
 
 
-def _rhs_spectrum(spec: np.ndarray, length: float) -> np.ndarray:
-    """Spectral-space envelope derivative; batch-transparent over leading axes.
-
-    Two FFTs: the spectrum is padded onto the 3/2 grid, ``|u|^2 u`` is formed
-    there from one inverse FFT, and one forward FFT brings it back to be
-    truncated to the ``n`` retained modes.  The interpolation factor ``3/2``
-    enters the cubic three times and the truncation ``2/3`` once, so they
-    fold with ``-i/2`` into the one scalar ``-i/2 (3/2)^2``.  A run holds one
-    :func:`_dns_rhs` closure instead, which reuses its buffers.
-    """
-    return _dns_rhs(spec.shape, length)(spec)
-
-
 def nls_rhs_values(values: np.ndarray, length: float) -> np.ndarray:
     """Grid-space envelope derivative; batch-transparent over leading axes.
 
-    The spectral evaluation of :func:`_rhs_spectrum` between one forward and
-    one inverse FFT.
+    The spectral evaluation of :func:`_dns_rhs` between one forward and one
+    inverse FFT.
     """
     spec = np.fft.fft(np.asarray(values, dtype=complex), axis=-1)
-    return np.fft.ifft(_rhs_spectrum(spec, length), axis=-1)
+    return np.fft.ifft(_dns_rhs(spec.shape, length)(spec), axis=-1)
 
 
 def spectral_derivative(values: np.ndarray, length: float) -> np.ndarray:
@@ -209,25 +199,21 @@ def nls_random_ic(seed: int, length: float = DEFAULT_LENGTH,
     """Random-phase multi-cosine envelope rescaled to realistic steepness.
 
     ``sum_{j=3}^{8} exp(-j^2/10) cos(2 pi j x / L + phi_j)`` with uniform
-    phases, rescaled so the grid maximum equals :data:`IC_AMPLITUDE`.
+    phases, rescaled so the grid maximum equals :data:`IC_AMPLITUDE`.  Drawn
+    through :func:`rons.core.positive_profile`, which resamples a draw whose
+    maximum is not positive.
     """
     x = np.arange(n_modes) * (length / n_modes)
-    for attempt in range(IC_MAX_RESAMPLES):
-        rng = np.random.default_rng(seed + attempt)
+
+    def draw(rng):
         phases = rng.uniform(0.0, 2.0 * np.pi, 6)
         profile = np.zeros_like(x)
         for j, phase in zip(range(3, 9), phases):
             profile += np.exp(-j * j / 10.0) * np.cos(2.0 * np.pi * j * x / length + phase)
-        peak = float(np.max(profile))
-        if peak > 1e-12:
-            if attempt:
-                warnings.warn(
-                    f"initial condition resampled {attempt} time(s) from seed {seed}",
-                    ResampledInitialConditionWarning,
-                    stacklevel=2,
-                )
-            return SpectralField.from_values(IC_AMPLITUDE * profile / peak, length)
-    raise ValidationError(f"could not draw a usable initial condition from seed {seed}")
+        return profile
+
+    profile, peak = core.positive_profile(draw, seed)
+    return SpectralField.from_values(IC_AMPLITUDE * profile / peak, length)
 
 
 @dataclass
@@ -337,12 +323,6 @@ def relative_drift(series: np.ndarray):
 # POD basis and reduced models
 
 
-def _real_form(matrix: np.ndarray) -> np.ndarray:
-    """The real matrix acting on stacked vectors as ``matrix`` acts on complex
-    row vectors: ``stack_amplitudes(z @ M) == stack_amplitudes(z) @ _real_form(M)``."""
-    return np.block([[matrix.real, -matrix.imag], [matrix.imag, matrix.real]])
-
-
 @dataclass(frozen=True)
 class CubicForm:
     """An affine-plus-cubic map of stacked amplitudes, precomputed per basis.
@@ -350,7 +330,7 @@ class CubicForm:
     ``a -> stack(c + z @ A + sum_x |u(x)|^2 u(x) psi(x))`` with the field
     ``u = u_0 + sum_i z_i phi_i`` sampled on some grid and test functions
     ``psi`` (one column per mode) on the same grid.  The arrays are stored in
-    stacked real form (:func:`_real_form`), so one evaluation is three small
+    stacked real form (:func:`rons.core.real_form`), so one evaluation is three small
     real matrix products and elementwise work on the grid, with no FFT.
     """
 
@@ -364,8 +344,9 @@ class CubicForm:
     def build(cls, constant, linear, fields, test) -> "CubicForm":
         """From complex ``c`` (N,), ``A`` (N, N), ``[u_0; phi]`` (N + 1, g)
         and ``psi`` (g, N)."""
-        return cls(stack_amplitudes(constant), _real_form(linear),
-                   stack_amplitudes(fields[0]), _real_form(fields[1:]), _real_form(test))
+        return cls(core.stack_complex(constant), core.real_form(linear),
+                   core.stack_complex(fields[0]), core.real_form(fields[1:]),
+                   core.real_form(test))
 
     def __call__(self, a: np.ndarray) -> np.ndarray:
         v = a @ self.field
@@ -479,9 +460,8 @@ class PodBasis:
 
     def amplitudes(self, a) -> np.ndarray:
         """Complex amplitudes ``z = a_re - i a_im`` of stacked real states
-        ``(..., 2 N)``; the inverse of :func:`stack_amplitudes`."""
-        values = self.state_values(a)
-        return values[..., : self.n_modes] - 1j * values[..., self.n_modes :]
+        ``(..., 2 N)`` (:func:`rons.core.unstack_complex`)."""
+        return core.unstack_complex(self.state_values(a))
 
     def reconstruct(self, amplitudes: np.ndarray) -> np.ndarray:
         """Grid field ``mean + sum_i z_i phi_i``."""
@@ -490,11 +470,6 @@ class PodBasis:
     def reconstruct_state(self, a) -> np.ndarray:
         """Grid field from a stacked real parameter vector."""
         return self.reconstruct(self.amplitudes(a))
-
-
-def stack_amplitudes(z: np.ndarray) -> np.ndarray:
-    """Stacked real storage ``[Re z, -Im z]`` of complex amplitudes, last axis."""
-    return np.concatenate([z.real, -z.imag], axis=-1)
 
 
 def compute_pod(snapshots: np.ndarray, n_modes: int, length: float) -> PodBasis:
@@ -582,13 +557,13 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
     Gradients come from the chain rule through ``u(a) = mean + sum z_i phi_i``
     with ``z = a_re - i a_im``: for a functional with first variation
     ``dI = Re <w, du>`` the stacked gradient is ``[Re r, Im r]`` with
-    ``r_i = <w, phi_i>``, which is ``stack_amplitudes`` of the projection
-    ``conj(r_i) = <phi_i, w>``.  The mass variation ``w = 2 u`` and the
-    kinetic part ``w = -u_xx / 4`` are affine in ``z``, so their projections
-    are precomputed Gram matrices; only the quartic part ``w = -|u|^2 u``
-    needs the grid field, which a :class:`CubicForm` samples from the modes
-    without rebuilding them.  Gradients are batch-transparent over leading
-    axes.
+    ``r_i = <w, phi_i>``, which is :func:`rons.core.stack_complex` of the
+    projection ``conj(r_i) = <phi_i, w>``.  The mass variation ``w = 2 u``
+    and the kinetic part ``w = -u_xx / 4`` are affine in ``z``, so their
+    projections are precomputed Gram matrices; only the quartic part
+    ``w = -|u|^2 u`` needs the grid field, which a :class:`CubicForm` samples
+    from the modes without rebuilding them.  Each gradient is its form's
+    evaluation, batch-transparent over leading axes.
     """
     dx = basis.dx
     mode_dx_h = basis.mode_derivatives.conj().T
@@ -600,20 +575,12 @@ def rom_quantities(basis: PodBasis) -> tuple[core.ConservedQuantity, core.Conser
     energy_form = CubicForm.build(0.25 * stiffness_offset, 0.25 * stiffness,
                                   np.vstack([basis.mean, basis.modes]), -basis._projector)
 
-    def mass_gradient(a):
-        return mass_form.constant + basis.state_values(a) @ mass_form.linear
-
-    def energy_gradient(a):
-        return energy_form(basis.state_values(a))
-
-    def value(index, form):
-        return ReducedFunctional(
+    def quantity(name, index, form):
+        value = ReducedFunctional(
             lambda a: field_invariants(basis.reconstruct_state(a), basis.length)[index], form)
+        return core.ConservedQuantity(name, value, lambda a: form(basis.state_values(a)))
 
-    return (
-        core.ConservedQuantity("mass", value(0, mass_form), mass_gradient),
-        core.ConservedQuantity("energy", value(1, energy_form), energy_gradient),
-    )
+    return quantity("mass", 0, mass_form), quantity("energy", 1, energy_form)
 
 
 def rom_rhs(a, basis: PodBasis, constraints: core.ConstraintSet | tuple = ()) -> np.ndarray:

@@ -47,8 +47,12 @@ class RunRecord:
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
-    """Execute a validated config: one run, or a seed ensemble when set."""
-    config.validate()
+    """Execute a validated config: one run, or a seed ensemble when set.
+
+    The config is validated and its lists checked
+    (:meth:`~rons.config.RunConfig.check_before_run`) before anything runs.
+    """
+    config.validate().check_before_run()
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -200,18 +204,15 @@ def _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced) -> RunRec
             f"all {len(good_seeds)} seeds failed during integration; "
             f"manifest: {record.failed_seeds}"
         )
-    pooled = []
-    for seed, (seed_samples, drift) in sorted(per_seed.items()):
-        pooled.append(seed_samples)
-        record.seed_records.append({
-            "seed": seed,
-            "n_samples": int(seed_samples.size),
-            "max_elevation_mean": float(np.mean(seed_samples)),
-            "total_energy_drift": drift,
-        })
-    pooled = np.concatenate(pooled)
-    edges, density = nls.max_envelope_pdf(pooled, config.bins)
-    record.histogram = (edges, density)
+    members = sorted(per_seed.items())
+    pooled = np.concatenate([seed_samples for _, (seed_samples, _) in members])
+    record.histogram = nls.max_envelope_pdf(pooled, config.bins)
+    record.seed_records = [{
+        "seed": seed,
+        "n_samples": int(seed_samples.size),
+        "max_elevation_mean": float(np.mean(seed_samples)),
+        "total_energy_drift": drift,
+    } for seed, (seed_samples, drift) in members]
     record.metrics = {
         "scheme": config.scheme,
         "n_seeds": len(per_seed),
@@ -226,7 +227,8 @@ def _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced) -> RunRec
 
 
 def _swe_ensemble_batched(config, batch, grid, scheme, quantities, enforced):
-    """Advance a stacked ensemble, sampling max elevation in the window."""
+    """Advance a stacked ensemble, sampling max elevation in the window;
+    the samples are ``(B, 0)`` when no sample time falls inside it."""
     energy = next(q for q in quantities if q.name == "total_energy")
 
     def sampler(t, U):
@@ -238,8 +240,9 @@ def _swe_ensemble_batched(config, batch, grid, scheme, quantities, enforced):
     traj = _swe_integrate(config, batch, grid, scheme, enforced, sampler,
                           config.sample_cadence, store_states=False)
     lo, hi = config.sample_window
-    keep = [i for i, t in enumerate(traj.times) if lo - 1e-9 <= t <= hi + 1e-9]
-    samples = np.stack([traj.diagnostics[i]["max_elevation"] for i in keep], axis=-1)
+    times = np.asarray(traj.times)
+    inside = (times >= lo - 1e-9) & (times <= hi + 1e-9)
+    samples = np.stack([d["max_elevation"] for d in traj.diagnostics], axis=-1)[:, inside]
     energies = np.stack([d["total_energy"] for d in traj.diagnostics], axis=-1)
     drifts = [nls.relative_drift(e) for e in energies]
     return samples, drifts, len(traj.dt_history)
@@ -292,20 +295,16 @@ def _nls(config: RunConfig) -> RunRecord:
             **extra,
         }
         return record
-    lo, hi = config.sample_window
-    pooled = []
-    for member, (seed, member_series) in enumerate(zip(seeds, series)):
-        peaks = nls.max_envelope(member_series.window(lo, hi))
-        pooled.append(peaks)
-        record.seed_records.append({
-            "seed": seed,
-            "n_samples": int(peaks.size),
-            "max_envelope_mean": float(np.mean(peaks)),
-            "mass_drift": float(diag["mass_drift"][member]),
-            "energy_drift": float(diag["energy_drift"][member]),
-        })
-    pooled = np.concatenate(pooled)
+    peaks = [nls.max_envelope(s.window(*config.sample_window)) for s in series]
+    pooled = np.concatenate(peaks)
     record.histogram = nls.max_envelope_pdf(pooled, config.bins)
+    record.seed_records = [{
+        "seed": seed,
+        "n_samples": int(member_peaks.size),
+        "max_envelope_mean": float(np.mean(member_peaks)),
+        "mass_drift": float(diag["mass_drift"][member]),
+        "energy_drift": float(diag["energy_drift"][member]),
+    } for member, (seed, member_peaks) in enumerate(zip(seeds, peaks))]
     record.metrics = {
         "scheme": config.scheme,
         "n_seeds": len(seeds),

@@ -16,14 +16,13 @@ slope-limited linear reconstruction and a CFL-driven step rule.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import core
-from .errors import DryStateError, ResampledInitialConditionWarning, ValidationError
+from .errors import DryStateError, ValidationError
 from .fv import FluxScheme, FvGrid, state_integral_quantity
 
 #: Characteristic wavelength (m) and wave speed (m/s) of an open-ocean
@@ -32,9 +31,6 @@ WAVELENGTH_M = 2.13e6
 WAVE_SPEED_M_S = 198.0
 MEAN_DEPTH_M = 4000.0
 GRAVITY_M_S2 = 9.8
-
-#: Seeds tried by :func:`random_oscillatory_ic` before giving up.
-IC_MAX_RESAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -341,28 +337,20 @@ def random_oscillatory_ic(seed: int, grid: FvGrid, config: SweConfig) -> np.ndar
     ``eta(x) = cos(2 pi x) * sum_{j=2}^{5} alpha_j cos(2 pi j x + phi_j)``
     with standard-normal amplitudes and uniform phases, then divided by
     ``2 * wavelength * max_x eta`` so the grid maximum is ``1 / (2 wavelength)``.
-    Draws whose maximum is non-positive are resampled with an incremented
-    seed (warned, so runs can log it).
+    Draws whose maximum is not positive are resampled with an incremented
+    seed by :func:`rons.core.positive_profile` (warned, so runs can log it).
     """
     x = grid.centers
-    for attempt in range(IC_MAX_RESAMPLES):
-        rng = np.random.default_rng(seed + attempt)
+
+    def draw(rng):
         alpha = rng.standard_normal(4)
         phi = rng.uniform(0.0, 2.0 * np.pi, 4)
         profile = np.zeros_like(x)
         for j, (amp, phase) in enumerate(zip(alpha, phi), start=2):
             profile += amp * np.cos(2.0 * np.pi * j * x + phase)
         profile *= np.cos(2.0 * np.pi * x)
-        peak = float(np.max(profile))
-        if peak > 1e-12:
-            if attempt:
-                warnings.warn(
-                    f"initial condition resampled {attempt} time(s) from seed {seed}",
-                    ResampledInitialConditionWarning,
-                    stacklevel=2,
-                )
-            eta = profile / (2.0 * config.wavelength_m * peak)
-            return np.stack((eta, np.zeros_like(eta)))
-    raise ValidationError(
-        f"could not draw a usable initial condition from seed {seed}"
-    )
+        return profile
+
+    profile, peak = core.positive_profile(draw, seed)
+    eta = profile / (2.0 * config.wavelength_m * peak)
+    return np.stack((eta, np.zeros_like(eta)))

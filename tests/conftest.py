@@ -41,3 +41,28 @@ def with_lambda_values(quantities):
         core.ConservedQuantity(q.name, lambda a, value=q.value: value(a), q.gradient)
         for q in quantities
     )
+
+
+class _NanDraws:
+    """A generator stand-in whose every draw is NaN, so no profile built
+    from it has a positive maximum."""
+
+    def uniform(self, low, high, size):
+        return np.full(size, np.nan)
+
+    def standard_normal(self, size):
+        return np.full(size, np.nan)
+
+
+def failing_draws(monkeypatch, failures):
+    """Make the next ``failures`` generators of ``np.random.default_rng``
+    draw only NaN; returns the list that records every seed asked for."""
+    real = np.random.default_rng
+    seeds = []
+
+    def default_rng(seed=None):
+        seeds.append(seed)
+        return _NanDraws() if len(seeds) <= failures else real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return seeds

@@ -95,6 +95,26 @@ class TestEnsembleCommand:
         assert main(["ensemble", cfg]) == 1
 
 
+class TestUnrunnableConfigs:
+    """Checks made when the run starts still end in an error line, exit 1
+    and no output."""
+
+    def test_repeated_seed_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ensemble_text())
+        assert main(["ensemble", cfg, "--seeds", "3,3,4",
+                     "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: run.seeds names seed(s) 3 more than once")
+        assert not (tmp_path / "out").exists()
+
+    def test_window_past_the_horizon(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, ensemble_text(sampling="window = 25, 75\nbins = 4"))
+        assert main(["ensemble", cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sampling window starts at 25.0") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestBadConfigs:
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_exit_one_with_error_line(self, tmp_path, capsys, case):

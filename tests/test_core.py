@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rons import core
 from rons.errors import (
@@ -135,8 +136,7 @@ class TestBlockMetric:
         blk = core.MetricTensor.from_diagonal(np.full(64, dx))
         m = core.assemble_block_metric([blk, blk])
         assert m.kind == "diagonal"
-        assert np.allclose(np.diag(m.toarray()), dx)
-        assert m.boundaries == (0, 64, 128)
+        assert m.size == 128 and np.allclose(np.diag(m.toarray()), dx)
 
     def test_single_block_degenerate_case(self, rng):
         pairings = random_spd(rng, 4)
@@ -150,17 +150,12 @@ class TestBlockMetric:
             core.assemble_block_metric([])
 
     @pytest.mark.parametrize("kind", ["diagonal", "dense"])
-    def test_lone_block_left_as_it_was(self, rng, kind):
+    def test_lone_block_returned_as_it_is(self, rng, kind):
         block = (core.MetricTensor.from_diagonal(rng.uniform(0.5, 2.0, 4)) if kind == "diagonal"
                  else core.assemble_metric(random_spd(rng, 4)))
-        assert block.kind == kind and block.boundaries is None
-        merged = core.assemble_block_metric([block])
-        assert merged is not block
-        assert block.boundaries is None
-        assert merged.kind == kind and merged.boundaries == (0, 4)
-        rhs = rng.standard_normal((3, 4))
-        assert np.array_equal(merged.solve(rhs), block.solve(rhs))
-        assert np.array_equal(merged.toarray(), block.toarray())
+        before = block.toarray()
+        assert core.assemble_block_metric([block]) is block
+        assert block.kind == kind and np.array_equal(block.toarray(), before)
 
     def test_mixed_blocks_solve(self, rng):
         dense = random_spd(rng, 3)
@@ -213,6 +208,47 @@ class TestComplexifyMetric:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             core.complexify_metric(np.array([[1.0, 0.5j], [0.5j, 1.0]]))
+
+
+@st.composite
+def complex_arrays(draw, shapes=st.sampled_from([(1,), (4,), (3, 4), (2, 3, 4)])):
+    """Finite complex arrays, the last axis the coefficients."""
+    re, im = draw(hnp.arrays(float, (2,) + draw(shapes), elements=st.floats(-1e3, 1e3)))
+    return re + 1j * im
+
+
+class TestComplexStacking:
+    """The one definition of the ``[Re z, -Im z]`` stacking."""
+
+    @given(complex_arrays())
+    def test_unstack_inverts_stack(self, z):
+        a = core.stack_complex(z)
+        assert a.shape == z.shape[:-1] + (2 * z.shape[-1],)
+        assert np.array_equal(a, np.concatenate([z.real, -z.imag], axis=-1))
+        assert np.array_equal(core.unstack_complex(a), z)
+
+    @given(complex_arrays(), st.data())
+    def test_real_form_acts_as_the_matrix_on_row_vectors(self, z, data):
+        n = z.shape[-1]
+        m = data.draw(complex_arrays(st.just((n, n))))
+        got = core.stack_complex(z) @ core.real_form(m)
+        want = core.stack_complex(z @ m)
+        # both sides sum the same 2 n products per entry, in another order
+        scale = np.abs(core.stack_complex(z)) @ np.abs(core.real_form(m))
+        assert np.all(np.abs(got - want) <= 8 * n * np.finfo(float).eps * scale)
+
+    @given(complex_arrays(st.integers(1, 5).map(lambda n: (n, n))))
+    def test_complexify_metric_is_the_real_form_of_the_conjugate(self, a):
+        pairings = a + a.conj().T       # Hermitian, entry by entry
+        via_real_form = core.assemble_metric(core.real_form(pairings.conj()))
+        metric = core.complexify_metric(pairings)
+        assert metric.kind == via_real_form.kind
+        assert np.array_equal(metric.toarray(), via_real_form.toarray())
+
+    @given(complex_arrays(st.integers(1, 6).map(lambda n: (n,))))
+    def test_layout_packs_a_complex_component_as_the_stacking(self, z):
+        packed = core.ParameterLayout.single_complex(z.shape[0]).pack([z])
+        assert packed.tobytes() == core.stack_complex(z).tobytes()
 
 
 class TestAssembleRhs:

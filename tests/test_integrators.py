@@ -140,7 +140,7 @@ class TestInPlaceSteppers:
         ics = [nls.nls_random_ic(s, length, 64) for s in (3, 4)]
         series, diag = nls.dns_run_batch(ics, 2.0, cadence)
         spec = np.stack([ic.coefficients for ic in ics])
-        traj = integrate(lambda s: nls._rhs_spectrum(s, length), spec,
+        traj = integrate(lambda s: nls._dns_rhs(s.shape, length)(s), spec,
                          StepSchedule(t_final=2.0, dt=nls.stable_dt(64, length)),
                          stepper=reference_rk4, observe_every=cadence)
         fields = np.fft.ifft(np.stack(traj.states), axis=-1)

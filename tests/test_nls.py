@@ -9,8 +9,11 @@ from rons.errors import (
     DivergenceError,
     IllConditionedConstraintWarning,
     RankError,
+    ResampledInitialConditionWarning,
     ValidationError,
 )
+
+from conftest import failing_draws
 
 LENGTH = 16.0 * np.pi
 N_GRID = 64
@@ -80,7 +83,7 @@ def pseudo_spectral_rom_rhs(a, basis):
     """Oracle: the full dealiased right-hand side of the reconstructed field,
     projected back onto the modes."""
     u = basis.reconstruct_state(a)
-    return nls.stack_amplitudes(basis.project(nls.nls_rhs_values(u, basis.length)))
+    return core.stack_complex(basis.project(nls.nls_rhs_values(u, basis.length)))
 
 
 def grid_gradients(a, basis):
@@ -91,7 +94,7 @@ def grid_gradients(a, basis):
     mass = 2.0 * dx * (u @ basis.modes.conj().T)
     kinetic = 0.25 * dx * (ux @ basis.mode_derivatives.conj().T)
     quartic = dx * ((np.abs(u) ** 2 * u) @ basis.modes.conj().T)
-    return [nls.stack_amplitudes(mass), nls.stack_amplitudes(kinetic - quartic)]
+    return [core.stack_complex(mass), core.stack_complex(kinetic - quartic)]
 
 
 def assert_relative_close(got, want, rel):
@@ -164,7 +167,7 @@ class TestTwoFftRhs:
     @given(spectra(), st.sampled_from([2.0 * np.pi, LENGTH]))
     def test_matches_six_fft_composition(self, spec, length):
         assert_relative_close(
-            nls._rhs_spectrum(spec, length), reference_rhs_spectrum(spec, length), 1e-13
+            nls._dns_rhs(spec.shape, length)(spec), reference_rhs_spectrum(spec, length), 1e-13
         )
 
     @pytest.mark.parametrize("batch", [(), (3,)])
@@ -177,14 +180,15 @@ class TestTwoFftRhs:
                 calls.append(_name)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        nls._rhs_spectrum(spec, LENGTH)
+        nls._dns_rhs(spec.shape, LENGTH)(spec)
         assert sorted(calls) == ["fft", "ifft"]
         calls.clear()
         nls.nls_rhs_values(u, LENGTH)
         assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
 
     def test_zero_spectrum_gives_exact_zero(self):
-        rhs = nls._rhs_spectrum(np.zeros((2, N_GRID), dtype=complex), LENGTH)
+        zero = np.zeros((2, N_GRID), dtype=complex)
+        rhs = nls._dns_rhs(zero.shape, LENGTH)(zero)
         assert rhs.shape == (2, N_GRID) and not rhs.any()
 
     def test_odd_grid_rejected(self):
@@ -211,6 +215,26 @@ class TestRandomIc:
         a = nls.nls_random_ic(9, LENGTH, 128).values()
         b = nls.nls_random_ic(9, LENGTH, 128).values()
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("failures", [1, 3])
+    def test_resampled_after_failed_draws(self, monkeypatch, failures):
+        # the draw from seed 9 + failures, warned once at the caller's line
+        want = nls.nls_random_ic(9 + failures, LENGTH, 128).coefficients
+        seeds = failing_draws(monkeypatch, failures)
+        with pytest.warns(ResampledInitialConditionWarning,
+                          match=rf"^initial condition resampled {failures} time\(s\) "
+                                r"from seed 9$") as caught:
+            got = nls.nls_random_ic(9, LENGTH, 128).coefficients
+        assert seeds == list(range(9, 10 + failures))
+        assert np.array_equal(got, want)
+        assert len(caught) == 1 and caught[0].filename == __file__
+
+    def test_every_draw_failing(self, monkeypatch):
+        seeds = failing_draws(monkeypatch, core.IC_MAX_RESAMPLES)
+        with pytest.raises(ValidationError,
+                           match="^could not draw a usable initial condition from seed 9$"):
+            nls.nls_random_ic(9, LENGTH, 128)
+        assert seeds == list(range(9, 9 + core.IC_MAX_RESAMPLES))
 
 
 class TestDnsRun:

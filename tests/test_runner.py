@@ -5,10 +5,12 @@ import pytest
 
 from rons import core, fv, io, nls, runner, swe
 from rons.config import RunConfig, parse_config
+from rons.errors import ConfigError, ValidationError
 from rons.integrators import StepSchedule, integrate, step_ssprk3
 from rons.runner import run_experiment, write_outputs
 
 from conftest import with_lambda_values
+from test_config import ENSEMBLE, NLS_ENSEMBLE, ensemble_text
 
 
 def make_config(tmp_path, text, name="run.ini"):
@@ -231,6 +233,68 @@ cadence = 0.5
             solo = np.array([np.max(np.abs(s[0])) for s in traj.states])
             batched_mean = seed_record["max_elevation_mean"]
             assert batched_mean == pytest.approx(np.mean(solo), rel=1e-11)
+
+
+def refuse_to_run(monkeypatch):
+    """Make any model that starts to run fail the test."""
+    def started(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(runner, "_swe", started)
+    monkeypatch.setattr(runner, "_nls", started)
+
+
+BY_MODEL = pytest.mark.parametrize("base", [ENSEMBLE, NLS_ENSEMBLE], ids=["swe", "nls-dns"])
+
+
+class TestUnrunnableConfigs:
+    """Configs that validate but that no run can honour: the lists and the
+    window are checked before anything runs."""
+
+    @BY_MODEL
+    def test_repeated_seed_rejected_naming_it(self, tmp_path, monkeypatch, base):
+        run = base["run"].replace("seeds = 0..1", "seeds = 3, 3, 4")
+        cfg = make_config(tmp_path, ensemble_text(base, run=run))
+        refuse_to_run(monkeypatch)
+        with pytest.raises(ConfigError, match=r"seed\(s\) 3 more than once"):
+            run_experiment(cfg)
+
+    @BY_MODEL
+    @pytest.mark.parametrize("window", ["0.5, 0.75", "25, 75"])
+    def test_window_from_the_horizon_on_rejected(self, tmp_path, monkeypatch, base, window):
+        sampling = base["sampling"].replace("window = 0, 0.5", f"window = {window}")
+        cfg = make_config(tmp_path, ensemble_text(base, sampling=sampling))
+        refuse_to_run(monkeypatch)
+        with pytest.raises(ConfigError, match="at or after the time horizon 0.5"):
+            run_experiment(cfg)
+
+    @BY_MODEL
+    def test_window_between_two_samples_has_no_histogram(self, tmp_path, base):
+        # samples every 0.25 from 0 to 0.5 on a fixed step: none in [0.3, 0.4]
+        sampling = base["sampling"].replace("window = 0, 0.5", "window = 0.3, 0.4")
+        cfg = make_config(tmp_path, ensemble_text(base, sampling=sampling,
+                                                  time=base["time"] + "\ndt = 0.125"))
+        with pytest.raises(ValidationError, match="^cannot histogram an empty sample set$"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("times, message", [
+        ("-1, 0, 0.5, 5", "must not be negative: -1.0$"),
+        ("0, 0.5, 1, 0.5", "names 0.5 more than once$"),
+    ])
+    def test_bad_snapshot_times_rejected(self, tmp_path, monkeypatch, times, message):
+        text = SWE_SMALL.format(scheme="fv", seed=0, ic="gaussian")
+        cfg = make_config(tmp_path, text.replace("0, 1.5", times))
+        refuse_to_run(monkeypatch)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+
+    def test_snapshot_times_past_the_horizon_dropped(self, tmp_path):
+        text = SWE_SMALL.format(scheme="fv", seed=0, ic="gaussian")
+        record = run_experiment(make_config(tmp_path, text.replace("0, 1.5", "0, 0.5, 5")))
+        assert [t for t, _ in record.field_snapshots] == [0.0, 0.5]
+        write_outputs(record, tmp_path / "out")
+        index = (tmp_path / "out" / "snapshots" / "index.csv").read_text()
+        assert index == "time,file\n0.0,t_0.0.csv\n0.5,t_0.5.csv\n"
 
 
 REST_ENSEMBLE = """

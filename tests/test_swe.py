@@ -11,6 +11,8 @@ from rons.errors import (
     ValidationError,
 )
 
+from conftest import failing_draws
+
 # ---------------------------------------------------------------------------
 # Reference oracle: the central-upwind scheme composed from its textbook
 # parts, one array pass each.  ``swe.central_upwind_scheme`` fuses these
@@ -534,6 +536,30 @@ class TestInitialConditions:
         a = swe.random_oscillatory_ic(11, grid, config)
         b = swe.random_oscillatory_ic(11, grid, config)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("failures", [1, 3])
+    def test_random_ic_resampled_after_failed_draws(self, monkeypatch, failures):
+        # the draw from seed 7 + failures, warned once at the caller's line
+        config = swe.SweConfig()
+        grid = fv.build_grid(10.0, 64)
+        want = swe.random_oscillatory_ic(7 + failures, grid, config)
+        seeds = failing_draws(monkeypatch, failures)
+        with pytest.warns(ResampledInitialConditionWarning,
+                          match=rf"^initial condition resampled {failures} time\(s\) "
+                                r"from seed 7$") as caught:
+            got = swe.random_oscillatory_ic(7, grid, config)
+        assert seeds == list(range(7, 8 + failures))
+        assert np.array_equal(got, want)
+        assert len(caught) == 1 and caught[0].filename == __file__
+
+    def test_random_ic_every_draw_failing(self, monkeypatch):
+        config = swe.SweConfig()
+        grid = fv.build_grid(10.0, 64)
+        seeds = failing_draws(monkeypatch, core.IC_MAX_RESAMPLES)
+        with pytest.raises(ValidationError,
+                           match="^could not draw a usable initial condition from seed 7$"):
+            swe.random_oscillatory_ic(7, grid, config)
+        assert seeds == list(range(7, 7 + core.IC_MAX_RESAMPLES))
 
 
 class TestWellBalanced:
