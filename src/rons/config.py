@@ -212,13 +212,11 @@ class RunConfig:
     def check_before_run(self):
         """Reject what only a run would trip on; returns ``self``.
 
-        An ensemble may not name a seed twice, and its sampling window must
-        start before the horizon.  Shallow-water snapshot times must be
-        non-negative and distinct; those past the horizon are dropped by the
-        run, not rejected.  These checks pass over whole lists, so they are
-        kept out of :meth:`validate`, which set-up paths call once per run
-        config; :func:`rons.runner.run_experiment` makes them before
-        anything runs.
+        An ensemble names no seed twice and samples from before the horizon;
+        shallow-water snapshot times are non-negative and distinct (the run
+        drops those past the horizon).  These checks pass over whole lists,
+        so they stay out of :meth:`validate`, which set-up paths call per
+        config; :func:`rons.runner.run_experiment` makes them first.
         """
         if self.seeds is not None:
             if repeated := _repeated(self.seeds):

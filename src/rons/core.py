@@ -359,7 +359,10 @@ def assemble_rhs(projections, layout: ParameterLayout | None = None) -> np.ndarr
     """
     if layout is None:
         arr = np.asarray(projections)
-        layout = ParameterLayout((Component(arr.shape[0], np.iscomplexobj(arr)),))
+        if np.iscomplexobj(arr):
+            layout = ParameterLayout.single_complex(arr.shape[0])
+        else:
+            layout = ParameterLayout.single_real(arr.shape[0])
         return layout.pack([arr])
     if isinstance(projections, np.ndarray) and len(layout.components) == 1:
         projections = [projections]

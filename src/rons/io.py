@@ -206,7 +206,12 @@ def _read_pod_basis(path: Path) -> PodBasis:
         length = float(payload["length"])
         mean, modes = _complex(payload, "mean_"), _complex(payload, "modes_")
         sv = np.asarray([float(s) for s in payload["singular_values"]])
-    return PodBasis(mean=mean, modes=modes, length=length, singular_values=np.asarray(sv))
+    return PodBasis(
+        mean=mean,
+        modes=modes,
+        length=length,
+        singular_values=np.asarray(sv),
+    )
 
 
 def _complex(payload: dict, prefix: str = "") -> np.ndarray:
