@@ -13,9 +13,7 @@ exactly, so the stacked real solve reproduces the complex Galerkin solve
 entrywise; see ``tests/test_core.py`` for the verification.  The stacking
 is defined here once: :func:`stack_complex`, :func:`unstack_complex` and
 :func:`real_form` build and invert it, and every other module calls them.
-
-Random initial conditions of every model draw through
-:func:`positive_profile`, the one seeded retry-and-warn loop.
+Random initial conditions draw through :func:`positive_profile`.
 """
 
 from __future__ import annotations

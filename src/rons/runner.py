@@ -47,11 +47,8 @@ class RunRecord:
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
-    """Execute a validated config: one run, or a seed ensemble when set.
-
-    The config is validated and its lists checked
-    (:meth:`~rons.config.RunConfig.check_before_run`) before anything runs.
-    """
+    """Execute a config, validated and checked (:meth:`RunConfig.check_before_run`)
+    before anything runs: one run, or a seed ensemble when set."""
     config.validate().check_before_run()
     started = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
