@@ -323,6 +323,17 @@ def relative_drift(series: np.ndarray):
 # POD basis and reduced models
 
 
+def _cube(u: np.ndarray) -> None:
+    """Replace a stacked sampled field ``u = [Re u, -Im u]``, of shape
+    ``(..., 2, g)``, by ``|u|^2 u`` in place.
+
+    The modulus is one ``einsum`` pass; per element it still adds
+    ``u0*u0 + u1*u1`` to zero in that order, so the result is bitwise the
+    out-of-place composition.
+    """
+    u *= np.einsum("...ki,...ki->...i", u, u)[..., None, :]
+
+
 @dataclass(frozen=True)
 class CubicForm:
     """An affine-plus-cubic map of stacked amplitudes, precomputed per basis.
@@ -351,10 +362,7 @@ class CubicForm:
     def __call__(self, a: np.ndarray) -> np.ndarray:
         v = a @ self.field
         v += self.field_offset
-        u = v.reshape(v.shape[:-1] + (2, -1))             # [Re u, -Im u]
-        modulus2 = u[..., 0, :] * u[..., 0, :]
-        modulus2 += u[..., 1, :] * u[..., 1, :]
-        u *= modulus2[..., None, :]                        # v is now stacked |u|^2 u
+        _cube(v.reshape(v.shape[:-1] + (2, -1)))           # v is now stacked |u|^2 u
         out = a @ self.linear
         out += self.constant
         out += v @ self.test
@@ -673,8 +681,7 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
         out = ext @ affine
         for columns, form_field, form_test in cubics:
             v = ext @ form_field
-            u = v.reshape(lead + (2, -1))                  # [Re u, -Im u]
-            u *= np.einsum("...ki,...ki->...i", u, u)[..., None, :]
+            _cube(v.reshape(lead + (2, -1)))
             out[..., columns] += v @ form_test
         out = out.reshape(lead + (-1, width))              # [f; G] per member
         f, g = out[..., 0, :], out[..., 1:, :]
@@ -699,10 +706,7 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
             raise DimensionError(f"state has shape {a.shape}, expected ({width},)")
         v = a @ field
         v += offset
-        u = v.reshape(2, grid)                             # [Re u, -Im u]
-        modulus2 = u[0] * u[0]
-        modulus2 += u[1] * u[1]
-        u *= modulus2
+        _cube(v.reshape(2, grid))
         out = a @ linear
         out += constant
         out[:spanned * width] += v @ test

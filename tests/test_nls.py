@@ -561,6 +561,65 @@ class TestCubicForm:
         assert np.array_equal(energy.gradient(a), reference_cubic_form(form, a))
 
 
+#: values the modulus must carry through as the composition does: signed
+#: zeros, subnormals, squares that overflow or underflow, infinities and NaN
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-160, -1e-160, 1e155,
+                -1e155, 1.7e308, -1.7e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@st.composite
+def stacked_fields(draw):
+    """Stacked sampled fields ``(2, g)``, ``(1, 2, g)`` or ``(B, 2, g)`` whose
+    elements mix generated floats with :data:`_EDGE_VALUES`."""
+    lead = draw(st.sampled_from([(), (1,), (draw(st.integers(2, 6)),)]))
+    g = draw(st.integers(1, 40))
+    elements = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                         st.sampled_from(_EDGE_VALUES))
+    return draw(hnp.arrays(float, lead + (2, g), elements=elements))
+
+
+def three_ufunc_cube(u):
+    """Oracle: ``|u|^2 u`` of a stacked field with the modulus formed by three
+    ufunc calls."""
+    modulus2 = u[..., 0, :] * u[..., 0, :]
+    modulus2 += u[..., 1, :] * u[..., 1, :]
+    return u * modulus2[..., None, :]
+
+
+class TestCube:
+    @given(stacked_fields())
+    def test_bitwise_equal_to_three_ufunc_composition(self, u):
+        with np.errstate(all="ignore"):
+            want = three_ufunc_cube(u)
+            assert nls._cube(u) is None
+        assert u.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (1,), (20,)])
+    def test_edge_values_at_every_shape(self, lead):
+        rng = np.random.default_rng(7)
+        g = 384
+        u = rng.choice(np.array(_EDGE_VALUES), size=lead + (2, g))
+        u[..., ::3] = rng.standard_normal(lead + (2, g))[..., ::3]
+        with np.errstate(all="ignore"):
+            want = three_ufunc_cube(u)
+            nls._cube(u)
+        assert u.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (1,), (5,)])
+    def test_writes_only_its_argument(self, lead, rng):
+        # the field is a window of a larger buffer, as a reshaped GEMM output
+        # row block would be; the bytes around it stay as they were
+        size = int(np.prod(lead + (2, 12)))
+        buffer = rng.standard_normal(size + 10)
+        before = buffer.copy()
+        u = buffer[4:4 + size].reshape(lead + (2, 12))
+        want = three_ufunc_cube(u)
+        nls._cube(u)
+        assert u.tobytes() == want.tobytes()
+        assert np.array_equal(buffer[:4], before[:4])
+        assert np.array_equal(buffer[4 + size:], before[4 + size:])
+
+
 class TestConstrainedBatch:
     def test_grons_batch_makes_no_numpy_solve(self, rng, monkeypatch):
         # twenty members, mass and energy: every member's 2 x 2 constraint
