@@ -29,12 +29,14 @@ def write_json(path, payload: dict):
 
 
 def _write_table(path, header, columns, preamble=()):
-    """A CSV of named float columns, one row per entry, each column
-    formatted once (:func:`format_float` of every value, byte for byte).
-    The ``preamble`` lines, if any, come before the header."""
+    """A CSV of named columns, one row per entry, each column formatted once:
+    :func:`format_float` of every value, byte for byte, or the strings of a
+    text column as they are.  The ``preamble`` lines, if any, come before
+    the header."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    cells = [c if isinstance(c, list) and all(isinstance(x, str) for x in c)
+             else map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
     with open(path, "w") as fh:
         fh.write("".join(line + "\n" for line in preamble))
         fh.write("".join(",".join(row) + "\n" for row in [header, *zip(*cells)]))
@@ -53,6 +55,12 @@ def write_histogram_csv(path, edges, density):
 def write_field_csv(path, x, fields: dict):
     """Grid field snapshot: one row per cell, named columns."""
     _write_table(path, ["x", *fields], [x, *fields.values()])
+
+
+def write_snapshot_index(path, times, names):
+    """The field snapshots of a run: one row per snapshot, its time and the
+    name of its file."""
+    _write_table(path, ["time", "file"], [times, names])
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,11 @@ def _swe_single(config, U0, grid, scheme, quantities, enforced) -> RunRecord:
                        grid_x=grid.centers)
     for q in quantities:
         record.invariants[q.name] = np.array([d[q.name] for d in traj.diagnostics])
-    wanted = [t for t in config.snapshot_times if t <= config.horizon + 1e-12]
-    for t_want in wanted:
-        idx = int(np.argmin(np.abs(traj.times - t_want)))
+    # one snapshot per observed time: requests that land on the same
+    # observation (say the horizon and a time a round-off past it) collapse
+    observed = dict.fromkeys(int(np.argmin(np.abs(traj.times - t)))
+                             for t in config.snapshot_times if t <= config.horizon + 1e-12)
+    for idx in observed:
         state = traj.states[idx]
         record.field_snapshots.append(
             (traj.times[idx], {"eta": state[0].copy(), "v": state[1].copy()})
@@ -363,16 +365,12 @@ def write_outputs(record: RunRecord, out_dir, fmt: str = "csv") -> list[Path]:
         written.append(out / "invariants.csv")
 
     if record.field_snapshots:
-        index_rows = []
-        for t, fields in record.field_snapshots:
-            name = f"snapshots/t_{io.format_float(t)}.csv"
-            io.write_field_csv(out / name, record.grid_x, fields)
-            index_rows.append((t, name))
-            written.append(out / name)
-        with open(out / "snapshots" / "index.csv", "w") as fh:
-            fh.write("time,file\n")
-            for t, name in index_rows:
-                fh.write(f"{io.format_float(t)},{Path(name).name}\n")
+        times = [t for t, _ in record.field_snapshots]
+        names = [f"t_{io.format_float(t)}.csv" for t in times]
+        for name, (_, fields) in zip(names, record.field_snapshots):
+            io.write_field_csv(out / "snapshots" / name, record.grid_x, fields)
+            written.append(out / "snapshots" / name)
+        io.write_snapshot_index(out / "snapshots" / "index.csv", times, names)
         written.append(out / "snapshots" / "index.csv")
 
     if record.snapshot_series is not None:

@@ -41,6 +41,15 @@ class TestRunCommand:
         assert (tmp_path / "out" / "invariants.csv").exists()
         assert "wrote" in capsys.readouterr().out
 
+    def test_snapshot_requests_on_one_observed_time_written_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWE_OK.replace("0, 0.5", "0, 0.5, 0.5000000000001"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--output", str(out)]) == 0
+        files = [p for p in out.rglob("*") if p.is_file()]
+        assert f"wrote {len(files)} files" in capsys.readouterr().out
+        index = (out / "snapshots" / "index.csv").read_text()
+        assert index == "time,file\n0.0,t_0.0.csv\n0.5,t_0.5.csv\n"
+
     def test_validation_error_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\nmodel = swe\nscheme = g-rons\n")
         assert main(["run", cfg]) == 1

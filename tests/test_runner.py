@@ -296,6 +296,18 @@ class TestUnrunnableConfigs:
         index = (tmp_path / "out" / "snapshots" / "index.csv").read_text()
         assert index == "time,file\n0.0,t_0.0.csv\n0.5,t_0.5.csv\n"
 
+    def test_requests_on_one_observed_time_write_one_snapshot(self, tmp_path):
+        # 1.5000000000001 is past the horizon but within the tolerance, so it
+        # lands on the same final observation as 1.5
+        config = RunConfig(model="swe", scheme="fv", cells=32, horizon=1.5, cadence=0.5,
+                           snapshot_times=(0.0, 1.5, 1.5000000000001))
+        record = run_experiment(config)
+        assert [t for t, _ in record.field_snapshots] == [0.0, 1.5]
+        written = write_outputs(record, tmp_path / "out")
+        assert len(written) == len(set(written))
+        index = (tmp_path / "out" / "snapshots" / "index.csv").read_text()
+        assert index == "time,file\n0.0,t_0.0.csv\n1.5,t_1.5.csv\n"
+
 
 REST_ENSEMBLE = """
 [run]
