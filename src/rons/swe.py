@@ -16,6 +16,7 @@ slope-limited linear reconstruction and a CFL-driven step rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,13 +94,14 @@ def _require_wet(*totals: np.ndarray) -> None:
 
 
 def _flux_workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The temporaries of one flux evaluation of ``(..., p, n)`` states: the
-    padded state, the one-sided slopes, the central and limiter buffers and
-    four per-interface ``(..., n)`` arrays."""
-    lead, n = shape[:-1], shape[-1]
-    return (np.empty(lead + (n + 2,)), np.empty(lead + (n + 1,)),
-            np.empty(shape), np.empty(shape),
-            *(np.empty(shape[:-2] + (n,)) for _ in range(4)))
+    """The temporaries of one flux evaluation of ``(..., 2, n)`` states: four
+    flat buffers of ``2 M (n + 2)`` values, field-major rows of ``n + 2``
+    lanes (the padded state, the one-sided slopes, the central and limiter
+    buffers), and four per-interface ``(M, n)`` arrays, where ``M`` is the
+    product of the leading axes."""
+    members, n = math.prod(shape[:-2]), shape[-1]
+    return (*(np.empty(2 * members * (n + 2)) for _ in range(4)),
+            *(np.empty((members, n)) for _ in range(4)))
 
 
 def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
@@ -119,61 +121,72 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
 
     of the physical flux ``F = ((eta + H) v, v^2 / 2 + g eta)``; where the
     spread ``a+ - a-`` is below 1e-14 the flux is the mean of the two sides.
-    Every temporary is written into ``workspace`` (from
-    :func:`_flux_workspace` for ``U.shape``), each buffer in full before it is
-    read, so a call that raised leaves nothing behind; the result is the one
-    fresh array.
+
+    The padded copy is field-major: one row of ``n + 2`` lanes per field and
+    member, all rows in one flat buffer, so each reconstruction stage is one
+    contiguous 1-D call over every member and field.  The stages that reach
+    across a row's end fill its last lanes with values nothing reads.  The
+    interface states and fluxes are ``(2, M, n)`` blocks, so each field of
+    each side is one contiguous ``(M, n)`` array.  Every temporary is written
+    into ``workspace`` (from :func:`_flux_workspace` for ``U.shape``), each
+    buffer before it is read, so a call that raised leaves nothing behind;
+    the result is the one fresh array.
     """
     padded, sided, central, lo, total_l, total_r, work, a_plus = workspace
     g = config.gravity
-
-    padded[..., 1:-1] = U
-    padded[..., 0] = U[..., -1]
-    padded[..., -1] = U[..., 0]
-    u = padded[..., 1:-1]
+    members, n = total_l.shape
+    rows, width = 2 * members, n + 2
+    fields = U.reshape(members, 2, n).transpose(1, 0, 2)
+    cells = padded.reshape(2, members, width)
+    cells[..., 1:-1] = fields
+    cells[..., 0] = fields[..., -1]
+    cells[..., -1] = fields[..., 0]
 
     # Limited slopes; one-sided differences theta (u_{j+1} - u_j) / dx for
     # j = -1..n-1 serve as both the backward and the forward argument.
-    np.subtract(padded[..., 1:], padded[..., :-1], out=sided)
-    sided *= config.limiter_theta
-    sided /= dx
-    np.subtract(padded[..., 2:], padded[..., :-2], out=central)
-    central /= 2.0 * dx
-    np.minimum(sided[..., :-1], central, out=lo)
-    np.minimum(lo, sided[..., 1:], out=lo)
-    hi = np.maximum(sided[..., :-1], central, out=central)
-    np.maximum(hi, sided[..., 1:], out=hi)
+    ahead = np.subtract(padded[1:], padded[:-1], out=sided[:-1])
+    ahead *= config.limiter_theta
+    ahead /= dx
+    both = np.subtract(padded[2:], padded[:-2], out=central[:-2])
+    both /= 2.0 * dx
+    low = np.minimum(ahead[:-1], both, out=lo[:-2])
+    np.minimum(low, ahead[1:], out=low)
+    hi = np.maximum(ahead[:-1], both, out=both)
+    np.maximum(hi, ahead[1:], out=hi)
     # The slope is lo where lo > 0, hi where hi < 0 and +0.0 elsewhere (NaN
     # included); lo > 0 implies hi > 0, so at most one term is nonzero.
     # ``sided`` then holds the half-cell offsets ``slope dx / 2``, with cell
-    # 0's repeated after cell n-1.
-    offset = sided
-    slope = np.fmax(lo, 0.0, out=offset[..., :-1])
+    # 0's repeated after cell n-1 in every row.
+    slope = np.fmax(low, 0.0, out=ahead[:-1])
     slope += np.fmin(hi, 0.0, out=hi)
     slope += 0.0
     slope *= 0.5 * dx
-    offset[..., -1] = offset[..., 0]
-    left = np.add(u, offset[..., :-1], out=lo)
-    right = np.subtract(padded[..., 2:], offset[..., 1:], out=hi)
+    offset = sided.reshape(rows, width)
+    offset[:, n] = offset[:, 0]
+    # The interface states go where the limiter buffers were.
+    padded_rows = padded.reshape(rows, width)
+    left = np.add(padded_rows[:, 1:-1], offset[:, :n],
+                  out=lo[:rows * n].reshape(rows, n)).reshape(2, members, n)
+    right = np.subtract(padded_rows[:, 2:], offset[:, 1:-1],
+                        out=central[:rows * n].reshape(rows, n)).reshape(2, members, n)
 
-    # Physical fluxes go where the offsets and the padded copy were.  The
-    # left flux keeps a leading ghost interface that later holds the last
-    # interface's flux for the divergence.
-    flux_lp = offset
-    flux_l = flux_lp[..., 1:]
-    flux_r = padded[..., 1:-1]
-    eta_l, v_l = left[..., 0, :], left[..., 1, :]
-    eta_r, v_r = right[..., 0, :], right[..., 1, :]
-    np.add(eta_l, depth_if, out=total_l)
-    np.add(eta_r, depth_if, out=total_r)
+    # Physical fluxes go where the padded copy and the offsets were.
+    flux_l = padded[:rows * n].reshape(2, members, n)
+    flux_r = sided[:rows * n].reshape(2, members, n)
+    eta_l, v_l = left
+    eta_r, v_r = right
+    # The depths, repeated once per member, keep both adds contiguous.
+    np.copyto(a_plus, depth_if)
+    np.add(eta_l, a_plus, out=total_l)
+    np.add(eta_r, a_plus, out=total_r)
     _require_wet(total_l, total_r)
     for flux, total, eta, v in ((flux_l, total_l, eta_l, v_l),
                                 (flux_r, total_r, eta_r, v_r)):
-        np.multiply(total, v, out=flux[..., 0, :])
-        np.multiply(0.5, v, out=flux[..., 1, :])
-        flux[..., 1, :] *= v
+        np.multiply(total, v, out=flux[0])
+        np.multiply(0.5, v, out=flux[1])
+        flux[1] *= v
         np.multiply(g, eta, out=work)
-        flux[..., 1, :] += work
+        flux[1] += work
         total *= g
         np.sqrt(total, out=total)
     c_l, c_r = total_l, total_r
@@ -195,20 +208,22 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
         mean *= 0.5
     diffusion = np.multiply(a_plus, a_minus, out=c_r)
     diffusion /= spread
-    flux_l *= a_plus[..., None, :]
-    flux_r *= a_minus[..., None, :]
+    flux_l *= a_plus
+    flux_r *= a_minus
     flux_l -= flux_r
-    flux_l /= spread[..., None, :]
+    flux_l /= spread
     jump = np.subtract(right, left, out=right)
-    jump *= diffusion[..., None, :]
+    jump *= diffusion
     flux_l += jump
     if degenerate is not None:
-        np.copyto(flux_l, mean, where=degenerate[..., None, :])
+        np.copyto(flux_l, mean, where=degenerate)
 
     # The result is never a view of the workspace: the steppers hold several
-    # at once.
-    flux_lp[..., 0] = flux_lp[..., -1]
-    out = np.subtract(flux_lp[..., :-1], flux_l)
+    # at once.  It is written field-major through a transposed view.
+    out = np.empty(U.shape)
+    divergence = out.reshape(members, 2, n).transpose(1, 0, 2)
+    np.subtract(flux_l[..., :-1], flux_l[..., 1:], out=divergence[..., 1:])
+    np.subtract(flux_l[..., -1], flux_l[..., 0], out=divergence[..., 0])
     out /= dx
     return out
 
@@ -220,9 +235,10 @@ def central_upwind_scheme(config: SweConfig) -> FluxScheme:
     together with that grid (not its ``id()``, which a new grid may reuse),
     so repeated evaluations on one grid skip topography lookups.  The flux
     temporaries live in a workspace kept beside them and rebuilt only when
-    the state's shape changes, so a warm ``rhs`` allocates just its result.
-    ``rhs`` is therefore not reentrant: every run builds its own scheme, and
-    one scheme must not be called from two threads at once.
+    the state's shape changes, so a warm ``rhs`` allocates just its result
+    and a warm ``cfl_dt`` nothing.  Neither is therefore reentrant: every
+    run builds its own scheme, and one scheme must not be called from two
+    threads at once.
     """
     cached: list = [None, None, None, None]
 
@@ -240,24 +256,37 @@ def central_upwind_scheme(config: SweConfig) -> FluxScheme:
 
     flux_work: list = [None, None]
 
+    def workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        if flux_work[0] != shape:
+            flux_work[:] = shape, _flux_workspace(shape)
+        return flux_work[1]
+
     def rhs(U, grid):
         dx, _, depth_if = geometry(grid)
         U = np.asarray(U, dtype=float)
-        if flux_work[0] != U.shape:
-            flux_work[:] = U.shape, _flux_workspace(U.shape)
-        return _central_upwind_rhs(U, dx, config, depth_if, flux_work[1])
+        return _central_upwind_rhs(U, dx, config, depth_if, workspace(U.shape))
 
     def cfl_dt(U, grid):
         """``dx / (cfl_factor * max(|v| + sqrt(g (eta + H))))``, or
-        ``config.fallback_dt`` when every wave speed vanishes."""
+        ``config.fallback_dt`` when every wave speed vanishes.
+
+        The speeds are formed in the flux workspace, from a field-major copy
+        of ``U`` and the depths repeated once per member, so every call runs
+        over contiguous memory and a warm call allocates nothing."""
         U = np.asarray(U, dtype=float)
         dx, depth, _ = geometry(grid)
-        speed = np.add(U[..., 0, :], depth)
+        padded, _, _, _, depths, _, speed, _ = workspace(U.shape)
+        members, n = speed.shape
+        fields = padded[:2 * members * n].reshape(2, members, n)
+        np.copyto(fields, U.reshape(members, 2, n).transpose(1, 0, 2))
+        eta, v = fields
+        np.copyto(depths, depth)
+        np.add(eta, depths, out=speed)
         if not speed.min() >= 0 and np.any(speed < 0):
             raise DryStateError("negative total depth")
         speed *= config.gravity
         np.sqrt(speed, out=speed)
-        speed += np.abs(U[..., 1, :])
+        speed += np.abs(v, out=v)
         top = float(speed.max())
         if top < 1e-14:
             return config.fallback_dt

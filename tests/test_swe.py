@@ -434,6 +434,80 @@ class TestFluxWorkspace:
         assert_same_bits(scheme.rhs(U, grid), reference_rhs(U, grid, config))
 
 
+def _faults(fn, *args):
+    """``fn(*args)`` with every floating-point fault raised: its result, the
+    message of a :class:`DryStateError`, or ``"FloatingPointError"``."""
+    with np.errstate(all="raise"):
+        try:
+            return _outcome(fn, *args)
+        except FloatingPointError:
+            return "FloatingPointError"
+
+
+class TestFlatLayout:
+    """The flux computes every member and field in one flat buffer; the
+    lanes it fills past each row's end must not reach any output."""
+
+    @given(flux_cases())
+    def test_no_floating_point_fault_the_reference_lacks(self, case):
+        U, grid, config = case
+        got = _faults(swe.central_upwind_scheme(config).rhs, U, grid)
+        want = _faults(reference_rhs, U, grid, config)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_each_member_is_its_own_flux(self, rng, n):
+        # members three times apart in scale, so a lane taken from a
+        # neighbouring member changes the bits
+        config = swe.SweConfig(bottom=_bumpy)
+        grid = fv.build_grid(10.0, n)
+        U = _waves(rng, (7,), n) * 3.0 ** np.arange(7)[:, None, None]
+        batch = swe.central_upwind_scheme(config).rhs(U, grid)
+        scheme = swe.central_upwind_scheme(config)
+        for k, member in enumerate(U):
+            assert_same_bits(scheme.rhs(member[None], grid), batch[k:k + 1])
+            assert_same_bits(scheme.rhs(member, grid), batch[k])
+
+
+class TestWorkspaceFootprint:
+    def test_flat_buffers_cost_no_more_than_strided_ones(self):
+        # the strided layout kept the padded state (..., 2, n + 2), the
+        # one-sided slopes (..., 2, n + 1), two (..., 2, n) buffers and four
+        # (..., n) arrays
+        m, n = 100, 256
+        strided = 8 * (2 * m * (n + 2) + 2 * m * (n + 1) + 4 * m * n + 4 * m * n)
+        flat = sum(a.nbytes for a in swe._flux_workspace((m, 2, n)))
+        assert flat <= 1.01 * strided
+
+    def test_warm_cfl_step_allocates_nothing(self, rng):
+        grid = fv.build_grid(10.0, 256)
+        scheme = swe.central_upwind_scheme(swe.SweConfig())
+        U = _waves(rng, (100,))
+        dt = scheme.cfl_dt(U, grid)
+        tracemalloc.start()
+        try:
+            again = scheme.cfl_dt(U, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == dt
+        assert peak < 4096
+
+    def test_cfl_steps_between_fluxes_change_nothing(self, rng):
+        # the CFL rule borrows two of the flux workspace's arrays
+        config = swe.SweConfig(bottom=_bumpy)
+        grid = fv.build_grid(10.0, 64)
+        scheme = swe.central_upwind_scheme(config)
+        for shape in ((3,), (3,), (), (2, 2), (3,)):
+            U = _waves(rng, shape, 64)
+            assert scheme.cfl_dt(U, grid) == reference_cfl_dt(U, grid, config)
+            assert_same_bits(scheme.rhs(U, grid), reference_rhs(U, grid, config))
+            assert scheme.cfl_dt(U, grid) == reference_cfl_dt(U, grid, config)
+
+
 class TestInvariants:
     def test_lake_at_rest_values(self):
         config = swe.SweConfig()
