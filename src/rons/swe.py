@@ -144,21 +144,21 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
 
     # Limited slopes; one-sided differences theta (u_{j+1} - u_j) / dx for
     # j = -1..n-1 serve as both the backward and the forward argument.
-    ahead = np.subtract(padded[1:], padded[:-1], out=sided[:-1])
-    ahead *= config.limiter_theta
-    ahead /= dx
-    both = np.subtract(padded[2:], padded[:-2], out=central[:-2])
-    both /= 2.0 * dx
-    low = np.minimum(ahead[:-1], both, out=lo[:-2])
-    np.minimum(low, ahead[1:], out=low)
-    hi = np.maximum(ahead[:-1], both, out=both)
-    np.maximum(hi, ahead[1:], out=hi)
-    # The slope is lo where lo > 0, hi where hi < 0 and +0.0 elsewhere (NaN
-    # included); lo > 0 implies hi > 0, so at most one term is nonzero.
+    one_sided = np.subtract(padded[1:], padded[:-1], out=sided[:-1])
+    one_sided *= config.limiter_theta
+    one_sided /= dx
+    centred = np.subtract(padded[2:], padded[:-2], out=central[:-2])
+    centred /= 2.0 * dx
+    low = np.minimum(one_sided[:-1], centred, out=lo[:-2])
+    np.minimum(low, one_sided[1:], out=low)
+    high = np.maximum(one_sided[:-1], centred, out=centred)
+    np.maximum(high, one_sided[1:], out=high)
+    # The slope is low where low > 0, high where high < 0 and +0.0 elsewhere
+    # (NaN included); low > 0 implies high > 0, so at most one term is nonzero.
     # ``sided`` then holds the half-cell offsets ``slope dx / 2``, with cell
     # 0's repeated after cell n-1 in every row.
-    slope = np.fmax(low, 0.0, out=ahead[:-1])
-    slope += np.fmin(hi, 0.0, out=hi)
+    slope = np.fmax(low, 0.0, out=one_sided[:-1])
+    slope += np.fmin(high, 0.0, out=high)
     slope += 0.0
     slope *= 0.5 * dx
     offset = sided.reshape(rows, width)
@@ -173,8 +173,8 @@ def _central_upwind_rhs(U: np.ndarray, dx: float, config: SweConfig,
     # Physical fluxes go where the padded copy and the offsets were.
     flux_l = padded[:rows * n].reshape(2, members, n)
     flux_r = sided[:rows * n].reshape(2, members, n)
-    eta_l, v_l = left
-    eta_r, v_r = right
+    eta_l, v_l = left[0], left[1]
+    eta_r, v_r = right[0], right[1]
     # The depths, repeated once per member, keep both adds contiguous.
     np.copyto(a_plus, depth_if)
     np.add(eta_l, a_plus, out=total_l)
@@ -279,7 +279,7 @@ def central_upwind_scheme(config: SweConfig) -> FluxScheme:
         members, n = speed.shape
         fields = padded[:2 * members * n].reshape(2, members, n)
         np.copyto(fields, U.reshape(members, 2, n).transpose(1, 0, 2))
-        eta, v = fields
+        eta, v = fields[0], fields[1]
         np.copyto(depths, depth)
         np.add(eta, depths, out=speed)
         if not speed.min() >= 0 and np.any(speed < 0):
