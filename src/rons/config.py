@@ -214,9 +214,11 @@ class RunConfig:
 
         An ensemble names no seed twice and samples from before the horizon;
         shallow-water snapshot times are non-negative and distinct (the run
-        drops those past the horizon).  These checks pass over whole lists,
-        so they stay out of :meth:`validate`, which set-up paths call per
-        config; :func:`rons.runner.run_experiment` makes them first.
+        drops those past the horizon), and no quantity is enforced twice; a
+        reduced model that trains its basis names no training seed twice.
+        These checks pass over whole lists, so they stay out of
+        :meth:`validate`, which set-up paths call per config;
+        :func:`rons.runner.run_experiment` makes them first.
         """
         if self.seeds is not None:
             if repeated := _repeated(self.seeds):
@@ -230,6 +232,11 @@ class RunConfig:
                                   f"{min(self.snapshot_times)}")
             if repeated := _repeated(self.snapshot_times):
                 raise ConfigError(f"swe.snapshot_times names {repeated} more than once")
+            if repeated := _repeated(self.enforce):
+                raise ConfigError(f"swe.enforce names {repeated} more than once")
+        elif self.model == ROM and not self.basis_path:
+            if repeated := _repeated(self.training_seeds):
+                raise ConfigError(f"nls.training_seeds names seed(s) {repeated} more than once")
         return self
 
     def resolved_out_dir(self) -> Path:

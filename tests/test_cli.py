@@ -10,7 +10,7 @@ import pytest
 from rons import core, io, nls
 from rons.cli import main
 
-from test_config import BAD_VALUES, ensemble_text
+from test_config import BAD_VALUES, ROM_ENSEMBLE, ensemble_text
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -114,6 +114,20 @@ class TestUnrunnableConfigs:
                      "--output", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: run.seeds names seed(s) 3 more than once")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", SWE_OK.replace("[swe]\n", "[swe]\nenforce = total_energy, total_energy\n"),
+         "swe.enforce names total_energy more than once"),
+        ("ensemble", ensemble_text(ROM_ENSEMBLE, nls="snapshot_cadence = 0.25\n"
+                                                     "training_seeds = 100, 100"),
+         "nls.training_seeds names seed(s) 100 more than once"),
+    ], ids=["enforce", "training_seeds"])
+    def test_repeated_name(self, tmp_path, capsys, command, text, message):
+        cfg = write_config(tmp_path, text)
+        assert main([command, cfg, "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_window_past_the_horizon(self, tmp_path, capsys):

@@ -10,7 +10,7 @@ from rons.integrators import StepSchedule, integrate, step_ssprk3
 from rons.runner import run_experiment, write_outputs
 
 from conftest import with_lambda_values
-from test_config import ENSEMBLE, NLS_ENSEMBLE, ensemble_text
+from test_config import ENSEMBLE, NLS_ENSEMBLE, ROM_ENSEMBLE, ensemble_text
 
 
 def make_config(tmp_path, text, name="run.ini"):
@@ -287,6 +287,27 @@ class TestUnrunnableConfigs:
         refuse_to_run(monkeypatch)
         with pytest.raises(ConfigError, match=message):
             run_experiment(cfg)
+
+    def test_repeated_enforced_quantity_rejected_naming_it(self, tmp_path, monkeypatch):
+        text = SWE_SMALL.format(scheme="fv-rons", seed=0, ic="gaussian").replace(
+            "[swe]\n", "[swe]\nenforce = total_energy, total_elevation, total_energy\n")
+        cfg = make_config(tmp_path, text)
+        refuse_to_run(monkeypatch)
+        with pytest.raises(ConfigError, match="^swe.enforce names total_energy more than once$"):
+            run_experiment(cfg)
+
+    def test_repeated_training_seed_rejected_naming_it(self, tmp_path, monkeypatch):
+        nls_section = ROM_ENSEMBLE["nls"] + "\ntraining_seeds = 100, 101, 100"
+        cfg = make_config(tmp_path, ensemble_text(ROM_ENSEMBLE, nls=nls_section))
+        refuse_to_run(monkeypatch)
+        with pytest.raises(ConfigError,
+                           match=r"^nls.training_seeds names seed\(s\) 100 more than once$"):
+            run_experiment(cfg)
+
+    def test_training_seeds_unread_with_a_basis_file(self, tmp_path):
+        nls_section = ROM_ENSEMBLE["nls"] + "\ntraining_seeds = 100, 100\nbasis = basis.json"
+        cfg = make_config(tmp_path, ensemble_text(ROM_ENSEMBLE, nls=nls_section))
+        assert cfg.check_before_run() is cfg
 
     def test_snapshot_times_past_the_horizon_dropped(self, tmp_path):
         text = SWE_SMALL.format(scheme="fv", seed=0, ic="gaussian")
