@@ -428,15 +428,21 @@ def finite_difference_gradient(fn, x, step: float = 1e-6) -> np.ndarray:
 # Constrained systems
 
 
-def _is_active(gradients: np.ndarray) -> np.ndarray:
-    """Whether each gradient (last axis) has Euclidean norm above
-    :data:`DEGENERACY_TOL`.
+def _nonvanishing(squared_norms):
+    """Whether each squared gradient norm exceeds ``DEGENERACY_TOL^2``.
 
     The one degeneracy rule of the package: a gradient whose norm is at most
-    the tolerance is inactive for that state.  Keeps states like
-    lake-at-rest (vanishing energy gradient) from making ``C`` singular.
+    :data:`DEGENERACY_TOL` is inactive for that state, and its row gets
+    multiplier zero.  Keeps states like lake-at-rest (vanishing energy
+    gradient) from making ``C`` singular.  Takes an array or a Python float;
+    under a unit metric the diagonal of ``C`` holds the squared norms.
     """
-    return np.vecdot(gradients, gradients) > DEGENERACY_TOL * DEGENERACY_TOL
+    return squared_norms > DEGENERACY_TOL * DEGENERACY_TOL
+
+
+def _is_active(gradients: np.ndarray) -> np.ndarray:
+    """:func:`_nonvanishing` of each gradient along the last axis."""
+    return _nonvanishing(np.vecdot(gradients, gradients))
 
 
 def _equilibrated(c: np.ndarray, b: np.ndarray):
@@ -535,27 +541,19 @@ def _solve_pairs(c: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return s * (y - r[..., None] * y[..., ::-1]) / pivot[..., None]
 
 
-def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the constraint equations ``C lambda = b``, one per batch member.
+def solve_lagrange(c: np.ndarray, b: np.ndarray, active: np.ndarray | None = None) -> np.ndarray:
+    """Multipliers of the constraint equations ``C lambda = b``, one system
+    per batch member: the one place that decides them.
 
-    ``c`` is ``(..., m, m)`` and ``b`` is ``(..., m)``.  A row with a zero
-    diagonal (a gradient with no weight, or one the caller masked out) gets
-    multiplier zero.  Each system is Jacobi-equilibrated.  Members whose
-    scaled matrix Gershgorin's theorem certifies below
-    :data:`CONDITION_LIMIT` skip the condition estimate; the others get an
-    eigenvalue estimate, and those above the limit fall back to minimum-norm
-    least squares with one :class:`IllConditionedConstraintWarning` for the
-    call, so run diagnostics can record it.  Everything else goes through
-    one batched ``np.linalg.solve``.  A numpy ``LinAlgError`` surfaces as
-    :class:`ConstraintConditioningError`.
-
-    An unbatched system with ``m <= 3`` is first offered to
-    :func:`_solve_small`, which solves it in Python floats when its diagonal
-    is positive and it passes the same checks; that skips some twenty numpy
-    calls.  A batch of ``m = 2`` systems is likewise first offered to
-    :func:`_solve_pairs`, which solves every member in closed form when all
-    of them pass the checks.  Whatever these paths decline takes the numpy
-    path above.
+    ``c`` is ``(..., m, m)``, ``b`` is ``(..., m)`` and ``active``, when
+    given, the boolean ``(..., m)`` mask of :func:`_nonvanishing`; an
+    inactive row gets multiplier zero.  One system drops its inactive rows.
+    A batch zeroes their rows and columns instead, so every member keeps its
+    shape, and the numpy path gives a row with a zero diagonal multiplier
+    zero.  The system is then offered once to a closed form:
+    :func:`_solve_small` for one system with ``m <= 3``, which skips some
+    twenty numpy calls, or :func:`_solve_pairs` for a batch of ``m = 2``
+    systems.  Whatever it declines takes :func:`_solve_numpy`.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -564,14 +562,38 @@ def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionError(f"constraint matrix shape {c.shape} does not match b {b.shape}")
     if not b.size:
         return np.zeros(b.shape)
-    if b.ndim == 1 and m <= 3:
-        lam = _solve_small(c.tolist(), b.tolist())
-        if lam is not None:
-            return np.array(lam)
-    if b.ndim > 1 and m == 2:
-        lam = _solve_pairs(c, b)
-        if lam is not None:
-            return lam
+    if b.ndim > 1:
+        if active is not None and np.count_nonzero(active) < active.size:
+            c = np.where(active[..., :, None] & active[..., None, :], c, 0.0)
+            b = np.where(active, b, 0.0)
+        lam = _solve_pairs(c, b) if m == 2 else None
+        return _solve_numpy(c, b) if lam is None else lam
+    rows = None if active is None or all(active) else [k for k in range(m) if active[k]]
+    if rows is not None:
+        c, b = c[np.ix_(rows, rows)], b[rows]
+    lam = _solve_small(c.tolist(), b.tolist()) if len(b) <= 3 else None
+    lam = _solve_numpy(c, b) if lam is None else np.array(lam)
+    if rows is None:
+        return lam
+    out = np.zeros(m)
+    out[rows] = lam
+    return out
+
+
+def _solve_numpy(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The numpy path of :func:`solve_lagrange`, for every system shape.
+
+    A row with a zero diagonal (a gradient with no weight, or one a batch
+    masked out) gets multiplier zero.  Each system is Jacobi-equilibrated.
+    Members whose scaled matrix Gershgorin's theorem certifies below
+    :data:`CONDITION_LIMIT` skip the condition estimate; the others get an
+    eigenvalue estimate, and those above the limit fall back to minimum-norm
+    least squares with one :class:`IllConditionedConstraintWarning` for the
+    call, so run diagnostics can record it.  Everything else goes through
+    one batched ``np.linalg.solve``.  A numpy ``LinAlgError`` surfaces as
+    :class:`ConstraintConditioningError`.
+    """
+    m = b.shape[-1]
     batch = b.shape[:-1]
     c = c.reshape(-1, m, m)
     b = b.reshape(-1, m)
@@ -598,12 +620,14 @@ def solve_lagrange(c: np.ndarray, b: np.ndarray) -> np.ndarray:
                 f"{ill.size} member(s) (estimate {np.max(cond[ill[slow]]):.3e}); "
                 "using minimum-norm least squares",
                 IllConditionedConstraintWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             well = np.where(ill[:, None, None], np.eye(m), cs)
             lam = np.linalg.solve(well, bs[..., None])[..., 0]
             for k in np.flatnonzero(ill):
                 lam[k] = np.linalg.lstsq(cs[k], bs[k], rcond=None)[0]
+            # least squares rounds the identity rows of the null ones
+            lam[null] = 0.0
     except np.linalg.LinAlgError as exc:
         raise ConstraintConditioningError(f"constraint equation solve failed: {exc}") from exc
     return (s * lam).reshape(batch + (m,))
@@ -635,10 +659,10 @@ def apply_invariant_correction(
     finite volume, the flux vector itself, since there ``f = M F`` exactly),
     and each gradient is ``(..., w)`` or a constant ``(w,)``.  Returns
     ``velocity - M^{-1} G^T lambda`` with ``C lambda = b``,
-    ``C = G M^{-1} G^T`` and ``b = G velocity``, member by member.  Gradients
-    with norm at most :data:`DEGENERACY_TOL` are masked per member
-    (multiplier zero); with no active gradient anywhere ``velocity`` comes
-    back unchanged, bit for bit.
+    ``C = G M^{-1} G^T`` and ``b = G velocity``, member by member.  A
+    per-member gradient that fails :func:`_is_active` gets multiplier zero
+    from :func:`solve_lagrange`, which takes the mask; with no active
+    gradient anywhere ``velocity`` comes back unchanged, bit for bit.
 
     The ``(w,)`` gradients -- every gradient of an unbatched call -- are
     shared by the batch: stacked once as ``G_s`` with no batch axis, they
@@ -688,8 +712,7 @@ def apply_invariant_correction(
         for k, g in enumerate(own):
             g_o[..., k, :] = g
     active = _is_active(g_o)
-    n_active = np.count_nonzero(active)
-    if not m_s and not n_active:
+    if not m_s and not active.any():
         return velocity
     solved_o = metric.solve(g_o)
     c = np.vecdot(solved_o[..., :, None, :], g_o[..., None, :, :])
@@ -706,13 +729,8 @@ def apply_invariant_correction(
         c[..., m_s:, m_s:] = c_oo
         np.vecdot(velocity[..., None, :], g_s, out=b[..., :m_s])
         b[..., m_s:] = b_o
-    if n_active < active.size:
-        # zero rows and columns: solve_lagrange gives them multiplier zero
-        keep = np.ones(b.shape, dtype=bool)
-        keep[..., m_s:] = active
-        c = np.where(keep[..., :, None] & keep[..., None, :], c, 0.0)
-        b = np.where(keep, b, 0.0)
-    lam = solve_lagrange(c, b)
+        active = np.concatenate([np.ones(b.shape[:-1] + (m_s,), dtype=bool), active], axis=-1)
+    lam = solve_lagrange(c, b, active)
     spent = None
     if len(own) > 1:
         out = velocity - (lam[..., None, m_s:] @ solved_o)[..., 0, :]
@@ -799,9 +817,7 @@ class ConstraintSet(tuple):
                 np.divide(row, self._diag, out=solved_row)
         g, solved = self._g, self._solved
         if vanished:
-            keep = np.ones(len(g), dtype=bool)
-            keep[vanished] = False
-            g, solved = g[keep], solved[keep]
+            g, solved = np.delete(g, vanished, axis=0), np.delete(solved, vanished, axis=0)
         if self._solve_all:
             solved = self.metric.solve(g)
         return apply_invariant_correction(self.metric, velocity, (), (g, solved))

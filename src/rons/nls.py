@@ -633,11 +633,10 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
 
     The unit metric of the orthonormal modes makes the correction
     straight-line: ``b = G f`` and ``C = G G^T`` come from one product
-    ``G [f; G]^T`` per member, and a row whose ``C`` diagonal is at most
-    ``DEGENERACY_TOL^2`` is masked, member by member, as the kernel masks it.
-    A single state's active system goes to :func:`core._solve_small`, a
-    batch's pairs (``m = 2``) to :func:`core._solve_pairs`, and whatever
-    those decline to :func:`core.solve_lagrange`.  The result is
+    ``G [f; G]^T`` per member.  The diagonal of ``C`` holds the squared
+    gradient norms, so :func:`core._nonvanishing` of it is the kernel's
+    activity mask, and :func:`core.solve_lagrange` takes ``C``, ``b`` and
+    that mask, for one state and a batch alike.  The result is
     ``f - lambda G``, or ``f`` itself when no row is active anywhere.  It
     agrees with :func:`rom_rhs` to round-off, not bitwise: the products are
     summed in another order.
@@ -668,8 +667,6 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
     affine = np.vstack([linear, constant])
     cubics = [(slice(k * width, (k + 1) * width), np.vstack([f.field, f.field_offset]), f.test)
               for k, (f, g) in enumerate(zip(forms, grids)) if g]
-    rows = range(len(forms) - 1)
-    floor = core.DEGENERACY_TOL * core.DEGENERACY_TOL
 
     def batch(a: np.ndarray) -> np.ndarray:
         if a.shape[-1] != width:
@@ -686,17 +683,10 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
         out = out.reshape(lead + (-1, width))              # [f; G] per member
         f, g = out[..., 0, :], out[..., 1:, :]
         products = g @ out.swapaxes(-1, -2)                # row k: [G_k f, C_k]
-        b, c = products[..., 0], products[..., 1:]
-        diagonal = c.diagonal(axis1=-2, axis2=-1)
-        if not diagonal.min() > floor:
-            active = diagonal > floor
-            if not active.any():
-                return f
-            c = np.where(active[..., :, None] & active[..., None, :], c, 0.0)
-            b = np.where(active, b, 0.0)
-        lam = core._solve_pairs(c, b) if len(rows) == 2 else None
-        if lam is None:
-            lam = core.solve_lagrange(c, b)
+        active = core._nonvanishing(products.diagonal(1, -2, -1))    # C_kk = |G_k|^2
+        if not np.count_nonzero(active):
+            return f
+        lam = core.solve_lagrange(products[..., 1:], products[..., 0], active)
         return f - (lam[..., None, :] @ g)[..., 0, :]
 
     def rhs(a: np.ndarray) -> np.ndarray:
@@ -712,17 +702,13 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
         out[:spanned * width] += v @ test
         out = out.reshape(-1, width)                       # [f; G]
         f, g = out[0], out[1:]
-        products = (g @ out.T).tolist()                    # row k: [G_k f, C_k]
-        active = [k for k in rows if products[k][k + 1] > floor]
-        if not active:
+        products = g @ out.T                               # row k: [G_k f, C_k]
+        active = [core._nonvanishing(norm2) for norm2 in products.diagonal(1).tolist()]
+        if not any(active):
             return f
-        c = [[products[i][j + 1] for j in active] for i in active]
-        b = [products[i][0] for i in active]
-        lam = core._solve_small(c, b) if len(b) <= 3 else None
-        if lam is None:
-            lam = core.solve_lagrange(np.array(c), np.array(b))
-        if len(active) < len(rows):
-            g = g[active]
+        lam = core.solve_lagrange(products[:, 1:], products[:, 0], active)
+        if not all(active):
+            lam, g = lam[active], g[active]
         return f - np.dot(lam, g)
 
     return rhs

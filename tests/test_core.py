@@ -523,6 +523,132 @@ class TestPairedClosedForm:
         assert np.allclose(lam, np.linalg.solve([[2.0, 0.5], [0.5, 1.0]], np.ones(2)))
 
 
+@st.composite
+def lagrange_systems(draw):
+    """``(c, b, active)``: one system with ``m = 1..3`` or a batch of 1, 3 or
+    8 of them.  Gram matrices of rows scaled over twelve decades, sometimes
+    with a near-twin row (the least-squares fallback) or rows and columns
+    zeroed, and a mask drawn entry by entry, all-inactive included."""
+    m = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (1,), (3,), (8,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal(lead + (m, m + 2)) * 10.0 ** rng.uniform(-6, 6, lead + (m, 1))
+    if draw(st.booleans()):
+        g[..., -1, :] = g[..., 0, :] * (1.0 + 1e-15)
+    c = g @ g.swapaxes(-1, -2)
+    for k in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        c[..., k, :] = c[..., :, k] = 0.0
+    active = draw(hnp.arrays(bool, lead + (m,)))
+    return c, rng.standard_normal(lead + (m,)), active
+
+
+def _composed(c, b, active):
+    """The active rows' multipliers by hand: one system compressed to its
+    active rows, offered to ``_solve_small``, then the numpy path; a batch
+    zero-masked, offered to ``_solve_pairs``, then the numpy path."""
+    if b.ndim == 1:
+        rows = np.flatnonzero(active)
+        c, b = c[np.ix_(rows, rows)], b[rows]
+        lam = core._solve_small(c.tolist(), b.tolist())
+        return core._solve_numpy(c, b) if lam is None else np.array(lam)
+    c = np.where(active[..., :, None] & active[..., None, :], c, 0.0)
+    b = np.where(active, b, 0.0)
+    lam = core._solve_pairs(c, b) if b.shape[-1] == 2 else None
+    return (core._solve_numpy(c, b) if lam is None else lam)[active]
+
+
+class TestMaskedEntry:
+    """``solve_lagrange(c, b, active)`` is the composition it replaced, with
+    multiplier zero on every inactive row."""
+
+    @given(lagrange_systems())
+    def test_matches_the_composition_and_zeroes_inactive_rows(self, system):
+        c, b, active = system
+        got = _outcome(lambda c, b: core.solve_lagrange(c, b, active), c, b)
+        want = _outcome(lambda c, b: _composed(c, b, active), c, b)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got[1] is want[1]
+            return
+        lam = got[1]
+        assert lam.shape == b.shape
+        assert not lam[~active].any()
+        assert np.array_equal(lam[active], want[1], equal_nan=True)
+        assert got[2] == want[2]
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch"])
+    def test_least_squares_gives_null_rows_zero(self, lead):
+        # a twin pair around a zero row: least squares on the matrix with an
+        # identity row in the zero row's place gives that row about 3e-16
+        c = np.broadcast_to([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]], lead + (3, 3))
+        b = np.broadcast_to([1.0, 2.0, 3.0], lead + (3,))
+        with pytest.warns(IllConditionedConstraintWarning):
+            lam = core.solve_lagrange(c, b)
+        assert np.all(lam[..., 1] == 0.0)
+        assert np.allclose(lam, [1.0, 0.0, 1.0], rtol=1e-14, atol=0.0)
+
+
+def _constant_quantity(name, gradient):
+    """A quantity whose gradient is ``gradient`` at every state, also per
+    member of a batch, and that declares nothing."""
+    return core.ConservedQuantity(
+        name, lambda a: 0.0, lambda a: np.broadcast_to(gradient, np.shape(a)).copy())
+
+
+def _declared_constant_quantity(name, gradient, n_modes):
+    """A reduced-model quantity of constant stacked gradient whose value
+    declares that gradient's form, so the joint route takes it."""
+    from rons import nls
+
+    form = nls.CubicForm.build(core.unstack_complex(gradient), np.zeros((n_modes, n_modes)),
+                               np.zeros((n_modes + 1, 0)), np.zeros((0, n_modes)))
+    return core.ConservedQuantity(name, nls.ReducedFunctional(lambda a: 0.0, form), form)
+
+
+class TestActivityThreshold:
+    """A gradient of norm exactly ``DEGENERACY_TOL`` is masked and one of
+    twice that norm is enforced, on the constraint set's single and batch
+    routes (under a diagonal metric of 0.5, where ``C_kk`` is twice the
+    squared norm) and on both paths of the joint reduced-model route.  A
+    masked row leaves its coordinate of the velocity as it was; the enforced
+    one removes its coordinate."""
+
+    @staticmethod
+    def _gradients(width):
+        at_tol, twice = np.zeros(width), np.zeros(width)
+        at_tol[0], twice[1] = core.DEGENERACY_TOL, 2.0 * core.DEGENERACY_TOL
+        return at_tol, twice
+
+    @staticmethod
+    def _assert_masks_the_first(velocity, out):
+        assert np.array_equal(out[..., 0], velocity[..., 0])
+        assert np.all(np.abs(out[..., 1]) <= 1e-12 * np.abs(velocity[..., 1]))
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch"])
+    def test_constraint_set(self, rng, lead):
+        width = 6
+        at_tol, twice = self._gradients(width)
+        metric = core.MetricTensor.from_diagonal(np.full(width, 0.5))
+        constraints = core.ConstraintSet(
+            metric, (_constant_quantity("at_tol", at_tol), _constant_quantity("twice", twice)))
+        velocity = rng.standard_normal(lead + (width,)) + 1.0
+        out = constraints.correct(velocity, rng.standard_normal(lead + (width,)))
+        self._assert_masks_the_first(velocity, out)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch"])
+    def test_joint_route(self, rng, lead):
+        from rons import nls
+
+        snaps = 0.1 * (rng.standard_normal((30, 64)) + 1j * rng.standard_normal((30, 64)))
+        basis = nls.compute_pod(snaps, 4, 16.0 * np.pi)
+        width = 2 * basis.n_modes
+        quantities = tuple(_declared_constant_quantity(name, g, basis.n_modes)
+                           for name, g in zip(("at_tol", "twice"), self._gradients(width)))
+        rhs = nls._grons_joint_rhs(basis, quantities)
+        a = 0.4 * rng.standard_normal(lead + (width,))
+        self._assert_masks_the_first(basis.reduced_operator(a), rhs(a))
+
+
 class TestUnitMetric:
     def test_solve_returns_its_input(self, rng):
         x = rng.standard_normal((3, 6))

@@ -666,6 +666,17 @@ def assert_tangent(a_dot, gradients):
         assert abs(g @ a_dot) <= 1e-10 * np.linalg.norm(g) * max(np.linalg.norm(a_dot), 1.0)
 
 
+def spy_on_solves(monkeypatch, closed_form):
+    """Record the ``b`` of every call to :func:`core.solve_lagrange` and to
+    the closed form named, passing the calls through."""
+    calls, offers = [], []
+    solve, offer = core.solve_lagrange, getattr(core, closed_form)
+    monkeypatch.setattr(core, "solve_lagrange",
+                        lambda c, b, active=None: calls.append(b) or solve(c, b, active))
+    monkeypatch.setattr(core, closed_form, lambda c, b: offers.append(b) or offer(c, b))
+    return calls, offers
+
+
 class TestSingleRunJointForm:
     """The one-pass derivative of a single G-RONS run against :func:`nls.rom_rhs`."""
 
@@ -698,18 +709,18 @@ class TestSingleRunJointForm:
         assert_tangent(got, [live.gradient(a)])
 
     def test_declined_system_goes_to_solve_lagrange(self, rng, monkeypatch):
-        # a twin of the mass makes C singular: the float path declines it and
-        # solve_lagrange falls back to least squares with its warning
+        # a twin of the mass makes C singular: the float path declines it,
+        # offered once, and solve_lagrange falls back to least squares with
+        # its warning
         mass = JOINT_QUANTITIES[0]
         quantities = (mass, core.ConservedQuantity("twin", mass.value, mass.gradient))
         a = 0.4 * rng.standard_normal(2 * JOINT_BASIS.n_modes)
-        solve = core.solve_lagrange
-        calls = []
-        monkeypatch.setattr(core, "solve_lagrange", lambda c, b: calls.append(b) or solve(c, b))
+        calls, offers = spy_on_solves(monkeypatch, "_solve_small")
         joint = nls._grons_joint_rhs(JOINT_BASIS, quantities)
         with pytest.warns(IllConditionedConstraintWarning):
             got = joint(a)
         assert len(calls) == 1 and calls[0].shape == (2,)
+        assert len(offers) == 1
         with pytest.warns(IllConditionedConstraintWarning):
             want = nls.rom_rhs(a, JOINT_BASIS, prepared(JOINT_BASIS, quantities))
         assert_relative_close(got, want, 1e-13)
@@ -778,6 +789,16 @@ class TestBatchedJointForm:
             assert_relative_close(got[member], want[member], 1e-13)
             assert_tangent(got[member], [q.gradient(a[member]) for q in quantities])
             assert np.max(np.abs(got[member] - basis.reduced_operator(a[member]))) > 1e-6
+
+    def test_declined_batch_is_offered_to_the_pairs_once(self, rng, monkeypatch):
+        mass = JOINT_QUANTITIES[0]
+        quantities = (mass, core.ConservedQuantity("twin", mass.value, mass.gradient))
+        a = 0.4 * rng.standard_normal((3, 2 * JOINT_BASIS.n_modes))
+        calls, offers = spy_on_solves(monkeypatch, "_solve_pairs")
+        with pytest.warns(IllConditionedConstraintWarning):
+            nls._grons_joint_rhs(JOINT_BASIS, quantities)(a)
+        assert len(calls) == 1 and calls[0].shape == (3, 2)
+        assert len(offers) == 1
 
     def test_twin_mass_row_warns_once_and_uses_lstsq(self, rng, monkeypatch):
         mass = JOINT_QUANTITIES[0]
