@@ -703,6 +703,7 @@ def _grons_joint_rhs(basis: PodBasis, quantities: Sequence[core.ConservedQuantit
         out = out.reshape(-1, width)                       # [f; G]
         f, g = out[0], out[1:]
         products = g @ out.T                               # row k: [G_k f, C_k]
+        # Python bools: any() and all() on two of them cost less than on an array
         active = [core._nonvanishing(norm2) for norm2 in products.diagonal(1).tolist()]
         if not any(active):
             return f
