@@ -67,6 +67,17 @@ class TestShorten:
         lo, hi = map(float, parser.get("sampling", "window").split(","))
         assert 0 <= lo < hi <= 5
 
+    def test_dns_ensemble_samples_inside_the_shortened_run(self):
+        text, ensemble = same_outputs.shorten(
+            "[run]\nmodel = nls-dns\nseeds = 100..103\n"
+            "[time]\nhorizon = 100\n[sampling]\nwindow = 25, 75\n")
+        parser = _parsed(text)
+        assert ensemble
+        assert parser.get("run", "seeds") == "100..103"
+        assert parser.get("time", "horizon") == "3"
+        lo, hi = map(float, parser.get("sampling", "window").split(","))
+        assert 0 <= lo < hi <= 3
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="heat"):
             same_outputs.shorten("[run]\nmodel = heat\n")

@@ -32,6 +32,7 @@ SHORTENED = {
     ("swe", False): {"time.horizon": "2"},
     ("swe", True): {"run.seeds": "0..5", "time.horizon": "27", "sampling.window": "25, 27"},
     ("nls-dns", False): {"time.horizon": "3"},
+    ("nls-dns", True): {"time.horizon": "3", "sampling.window": "1, 3"},
     ("nls-rom", False): {"time.horizon": "5", "nls.training_horizon": "5"},
     ("nls-rom", True): {"time.horizon": "5", "nls.training_horizon": "5",
                         "sampling.window": "2, 5"},
