@@ -102,9 +102,9 @@ def load_snapshots(path) -> SnapshotSeries:
     """The series :func:`save_snapshots` wrote, in the format of the suffix.
 
     Raises :class:`ValidationError` naming the path unless the file can be
-    opened and holds at least one sample of at least one grid point, with
-    ``1 + 2 n`` values on every CSV row for the ``n`` points of its
-    ``n_grid`` header (else of the first row).
+    opened, holds every field :func:`save_snapshots` writes and at least one
+    sample of at least one grid point, with ``1 + 2 n`` values on every CSV
+    row for the ``n`` points of its ``n_grid`` header (else of the first row).
     """
     path = Path(path)
     try:
@@ -113,6 +113,8 @@ def load_snapshots(path) -> SnapshotSeries:
         raise
     except OSError as exc:
         raise _unreadable(path, exc) from exc
+    except KeyError as exc:
+        raise _missing(path, exc) from None
     except ValueError as exc:
         raise ValidationError(f"{path} is not a readable snapshot series: {exc}") from exc
     if series.snapshots.ndim != 2 or not series.snapshots.size:
@@ -122,7 +124,7 @@ def load_snapshots(path) -> SnapshotSeries:
 
 def _read_snapshots(path: Path) -> SnapshotSeries:
     if path.suffix == ".npz":
-        data = np.load(path)
+        data = dict(np.load(path))
         return SnapshotSeries(data["times"], data["snapshots"], float(data["length"]))
     if path.suffix == ".json":
         with open(path) as fh:
@@ -186,22 +188,30 @@ def save_pod_basis(path, basis: PodBasis):
 
 
 def load_pod_basis(path) -> PodBasis:
-    """The basis :func:`save_pod_basis` wrote; a file that cannot be opened
-    raises :class:`ValidationError` naming the path."""
+    """The basis :func:`save_pod_basis` wrote; a file that cannot be opened,
+    or lacks a field that function writes, raises :class:`ValidationError`
+    naming the path."""
     path = Path(path)
     try:
         return _read_pod_basis(path)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
+    except KeyError as exc:
+        raise _missing(path, exc) from None
 
 
 def _unreadable(path: Path, exc: OSError) -> ValidationError:
     return ValidationError(f"cannot read {path}: {exc.strerror or exc}")
 
 
+def _missing(path: Path, exc: KeyError) -> ValidationError:
+    """The error for a container whose field lookup raised ``exc``."""
+    return ValidationError(f"{path} has no {exc.args[0]} field")
+
+
 def _read_pod_basis(path: Path) -> PodBasis:
     if path.suffix == ".npz":
-        data = np.load(path)
+        data = dict(np.load(path))
         mean = data["mean"]
         modes = data["modes"]
         length = float(data["length"])

@@ -261,6 +261,45 @@ def test_missing_file_exit_one_naming_it(tmp_path, capsys, command, suffix):
     assert not (tmp_path / "basis.json").exists()
 
 
+def _without_field(path, field):
+    """Rewrite the ``.json`` or ``.npz`` file at ``path`` without ``field``."""
+    if path.suffix == ".json":
+        payload = json.loads(path.read_text())
+        del payload[field]
+        path.write_text(json.dumps(payload))
+    else:
+        with np.load(path) as data:
+            kept = {name: data[name] for name in data.files if name != field}
+        np.savez(path, **kept)
+
+
+def _series_file(path):
+    series = nls.SnapshotSeries(np.array([0.0, 1.0]), np.full((2, 4), 1.0 + 1.0j), 10.0)
+    io.save_snapshots(path, series)
+    return "times"
+
+
+def _basis_file(path):
+    rng = np.random.default_rng(0)
+    snapshots = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    io.save_pod_basis(path, nls.compute_pod(snapshots, 2, 10.0))
+    return "mean_real" if path.suffix == ".json" else "modes"
+
+
+@pytest.mark.parametrize("suffix", [".json", ".npz"])
+@pytest.mark.parametrize("command, kind", [("metrics", "series"), ("pod", "series"),
+                                           ("run-basis", "basis")])
+def test_missing_field_exit_one_naming_it(tmp_path, capsys, command, kind, suffix):
+    path = tmp_path / f"bad{suffix}"
+    field = {"series": _series_file, "basis": _basis_file}[kind](path)
+    _without_field(path, field)
+    assert main(MISSING_FILE_COMMANDS[command](str(path), tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(path) in err and field in err
+    assert not (tmp_path / "basis.json").exists()
+
+
 class TestMetricsCommand:
     def test_errors_between_series(self, tmp_path, capsys, rng):
         u = 0.1 * (rng.standard_normal((6, 32)) + 1j * rng.standard_normal((6, 32)))
