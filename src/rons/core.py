@@ -633,19 +633,6 @@ def _solve_numpy(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (s * lam).reshape(batch + (m,))
 
 
-def _shared_block(metric: MetricTensor, gradients):
-    """Stack gradients shared by the whole batch, each ``(w,)``, once.
-
-    Drops the inactive ones and applies ``M^{-1}`` once.  Returns ``G_s`` and
-    ``M^{-1} G_s``, both ``(m_s, w)``.
-    """
-    g = np.array(gradients, dtype=float)
-    active = _is_active(g)
-    if not active.all():
-        g = g[active]
-    return g, metric.solve(g)
-
-
 def apply_invariant_correction(
     metric: MetricTensor,
     velocity: np.ndarray,
@@ -665,8 +652,8 @@ def apply_invariant_correction(
     gradient anywhere ``velocity`` comes back unchanged, bit for bit.
 
     The ``(w,)`` gradients -- every gradient of an unbatched call -- are
-    shared by the batch: stacked once as ``G_s`` with no batch axis, they
-    come first in ``C``.  ``C_ss = (M^{-1} G_s) G_s^T`` is one small GEMM;
+    shared by the batch: stacked once as ``G_s`` with no batch axis, the
+    inactive ones dropped, they come first in ``C``.  ``C_ss = (M^{-1} G_s) G_s^T`` is one small GEMM;
     over a batch, ``b_s``, the cross block ``C_so`` and the per-member block
     use row-wise ``vecdot``, so a member's result does not depend on the
     batch it sits in (a GEMM rounds by row count).  The result is
@@ -675,7 +662,8 @@ def apply_invariant_correction(
     ``shared`` is that block already built, as a :class:`ConstraintSet`
     keeps it for an unbatched call: ``(G_s, M^{-1} G_s)`` of active rows
     only, read and never written.  ``gradients`` then lists the per-member
-    gradients alone.
+    gradients alone.  The set hands its block in here, rather than solving
+    on its own, so that every correction runs inside this one function.
     """
     velocity = np.asarray(velocity, dtype=float)
     if shared is None:
@@ -685,7 +673,9 @@ def apply_invariant_correction(
         for g in gradients:
             (flat if np.ndim(g) == 1 else own).append(g)
         if flat:
-            shared = _shared_block(metric, flat)
+            g_s = np.array(flat, dtype=float)
+            g_s = g_s[_is_active(g_s)]
+            shared = g_s, metric.solve(g_s)
     else:
         own = gradients
     m_s = 0

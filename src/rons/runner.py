@@ -12,6 +12,7 @@ seed, and build.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field as dataclass_field
@@ -73,10 +74,37 @@ def _swe(config: RunConfig) -> RunRecord:
     scheme = swe.central_upwind_scheme(swe_cfg)
     quantities = swe.swe_quantities(grid, swe_cfg)
     enforced = tuple(q for q in quantities if q.name in config.enforce)
+    widths = grid.widths
+
+    def observer(t, U):
+        """Every quantity's value, each field's L1 norm and the largest
+        |eta| of a ``(2, n)`` state or a ``(B, 2, n)`` batch."""
+        magnitude = np.abs(U)
+        flat = U.reshape(U.shape[:-2] + (-1,))
+        return {**{q.name: q.value(flat) for q in quantities},
+                "field_l1": np.vecdot(magnitude, widths),
+                "max_abs_eta": np.max(magnitude[..., 0, :], axis=-1)}
+
+    def advance(U0, observe_every, **kwargs):
+        """Advance a ``(2, n)`` state or a ``(B, 2, n)`` ensemble with the
+        configured right-hand side, stepper and step rule, observed by
+        ``observer``."""
+        if enforced:
+            constraints = core.ConstraintSet(fv.fv_metric(grid, U0.shape[-2]), enforced)
+            rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, constraints)
+        else:
+            rhs = lambda U: scheme.rhs(U, grid)   # every stepper checks each new state
+        if config.dt is not None:
+            schedule = StepSchedule(t_final=config.horizon, dt=config.dt)
+        else:
+            schedule = StepSchedule(t_final=config.horizon, cfl=lambda U: scheme.cfl_dt(U, grid))
+        return integrate(rhs, U0, schedule, stepper=_STEPPERS[config.stepper],
+                         observers=(observer,), observe_every=observe_every, **kwargs)
+
     if config.seeds is None:
         U0 = _swe_initial_state(config, config.seed, grid, swe_cfg)
-        return _swe_single(config, U0, grid, scheme, quantities, enforced)
-    return _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced)
+        return _swe_single(config, U0, grid, quantities, advance)
+    return _swe_ensemble(config, grid, swe_cfg, advance)
 
 
 def _swe_initial_state(config: RunConfig, seed: int, grid, swe_cfg):
@@ -89,42 +117,14 @@ def _swe_initial_state(config: RunConfig, seed: int, grid, swe_cfg):
     raise ConfigError(f"unknown swe initial condition {config.swe_ic!r}")
 
 
-def _swe_integrate(config, U0, grid, scheme, enforced, observer, observe_every, **kwargs):
-    """Advance a ``(2, n)`` state or a ``(B, 2, n)`` ensemble with the
-    configured right-hand side, stepper and step rule."""
-    if enforced:
-        constraints = core.ConstraintSet(fv.fv_metric(grid, U0.shape[-2]), enforced)
-        rhs = lambda U: fv.fvrons_rhs(U, scheme, grid, constraints)
-    else:
-        rhs = lambda U: scheme.rhs(U, grid)   # every stepper checks each new state
-    if config.dt is not None:
-        schedule = StepSchedule(t_final=config.horizon, dt=config.dt)
-    else:
-        schedule = StepSchedule(t_final=config.horizon, cfl=lambda U: scheme.cfl_dt(U, grid))
-    return integrate(rhs, U0, schedule, stepper=_STEPPERS[config.stepper],
-                     observers=(observer,), observe_every=observe_every, **kwargs)
-
-
-def _swe_single(config, U0, grid, scheme, quantities, enforced) -> RunRecord:
-    widths = grid.widths
-
-    def observer(t, U):
-        flat = U.reshape(-1)
-        out = {q.name: q.value(flat) for q in quantities}
-        # L1 field norms give a magnitude scale for invariants that start at
-        # zero (total velocity), where a ratio to the initial value is useless.
-        out["_l1_elevation"] = float(np.dot(widths, np.abs(U[0])))
-        out["_l1_velocity"] = float(np.dot(widths, np.abs(U[1])))
-        return out
-
+def _swe_single(config, U0, grid, quantities, advance) -> RunRecord:
     checkpoints = tuple(t for t in config.snapshot_times if 0.0 < t < config.horizon)
-    traj = _swe_integrate(config, U0, grid, scheme, enforced, observer, config.cadence,
-                          checkpoints=checkpoints)
+    traj = advance(U0, config.cadence, checkpoints=checkpoints)
 
     record = RunRecord(config=_echo(config), seed=config.seed, times=traj.times,
                        grid_x=grid.centers)
-    for q in quantities:
-        record.invariants[q.name] = np.array([d[q.name] for d in traj.diagnostics])
+    record.invariants = {q.name: np.array([d[q.name] for d in traj.diagnostics])
+                         for q in quantities}
     # one snapshot per observed time: requests that land on the same
     # observation (say the horizon and a time a round-off past it) collapse
     observed = dict.fromkeys(int(np.argmin(np.abs(traj.times - t)))
@@ -134,40 +134,30 @@ def _swe_single(config, U0, grid, scheme, quantities, enforced) -> RunRecord:
         record.field_snapshots.append(
             (traj.times[idx], {"eta": state[0].copy(), "v": state[1].copy()})
         )
-    l1_scales = {
-        "total_elevation": max(d["_l1_elevation"] for d in traj.diagnostics),
-        "total_velocity": max(d["_l1_velocity"] for d in traj.diagnostics),
-    }
-
-    def drift(name, series):
-        # invariants that start at zero (total velocity on at-rest data) are
-        # scaled by the L1 magnitude the field actually reaches
-        scale = abs(series[0])
-        if scale == 0.0:
-            scale = l1_scales.get(name, 0.0)
-        absolute = float(np.max(np.abs(series - series[0])))
-        return float(absolute / scale) if scale > 0 else absolute
-
+    l1 = np.max([d["field_l1"] for d in traj.diagnostics], axis=0)
+    l1_scales = {"total_elevation": float(l1[0]), "total_velocity": float(l1[1])}
+    absolute = {name: float(np.max(np.abs(series - series[0])))
+                for name, series in record.invariants.items()}
+    # an invariant that starts at zero (total velocity on at-rest data) has no
+    # initial value to be relative to: the L1 magnitude its field reaches
+    # scales its drift instead
+    scales = {name: abs(series[0]) or l1_scales.get(name, 0.0)
+              for name, series in record.invariants.items()}
     record.metrics = {
         "scheme": config.scheme,
         "n_steps": int(len(traj.dt_history)),
-        "drift": {
-            name: drift(name, series)
-            for name, series in record.invariants.items()
-        },
-        "drift_absolute": {
-            name: float(np.max(np.abs(series - series[0])))
-            for name, series in record.invariants.items()
-        },
+        "drift": {name: float(absolute[name] / scale) if scale > 0 else absolute[name]
+                  for name, scale in scales.items()},
+        "drift_absolute": absolute,
         "field_l1_max": l1_scales,
         "final": {name: float(series[-1]) for name, series in record.invariants.items()},
-        "max_abs_eta_final": float(np.max(np.abs(traj.states[-1][0]))),
+        "max_abs_eta_final": float(traj.diagnostics[-1]["max_abs_eta"]),
     }
     record.telemetry["n_steps"] = int(len(traj.dt_history))
     return record
 
 
-def _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced) -> RunRecord:
+def _swe_ensemble(config, grid, swe_cfg, advance) -> RunRecord:
     record = RunRecord(config=_echo(config), grid_x=grid.centers)
     states, good_seeds = [], []
     for seed in config.seeds:
@@ -181,18 +171,14 @@ def _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced) -> RunRec
         raise ConfigError("every seed failed during initial-condition generation")
 
     try:
-        samples, drifts, n_steps = _swe_ensemble_batched(
-            config, np.stack(states), grid, scheme, quantities, enforced
-        )
+        samples, drifts, n_steps = _swe_ensemble_batched(config, np.stack(states), advance)
         per_seed = dict(zip(good_seeds, zip(samples, drifts)))
     except RonsError:
         # Salvage seed by seed so one divergent member cannot sink the rest.
         per_seed = {}
         for seed, U0 in zip(good_seeds, states):
             try:
-                s, d, n_steps = _swe_ensemble_batched(
-                    config, U0[None], grid, scheme, quantities, enforced
-                )
+                s, d, n_steps = _swe_ensemble_batched(config, U0[None], advance)
                 per_seed[seed] = (s[0], d[0])
             except RonsError as exc:
                 record.failed_seeds.append({"seed": seed, "stage": "integration",
@@ -225,23 +211,14 @@ def _swe_ensemble(config, grid, swe_cfg, scheme, quantities, enforced) -> RunRec
     return record
 
 
-def _swe_ensemble_batched(config, batch, grid, scheme, quantities, enforced):
+def _swe_ensemble_batched(config, batch, advance):
     """Advance a stacked ensemble, sampling max elevation in the window;
     the samples are ``(B, 0)`` when no sample time falls inside it."""
-    energy = next(q for q in quantities if q.name == "total_energy")
-
-    def sampler(t, U):
-        return {
-            "max_elevation": np.max(np.abs(U[..., 0, :]), axis=-1),
-            "total_energy": energy.value(U.reshape(U.shape[:-2] + (-1,))),
-        }
-
-    traj = _swe_integrate(config, batch, grid, scheme, enforced, sampler,
-                          config.sample_cadence, store_states=False)
+    traj = advance(batch, config.sample_cadence, store_states=False)
     lo, hi = config.sample_window
     times = np.asarray(traj.times)
     inside = (times >= lo - 1e-9) & (times <= hi + 1e-9)
-    samples = np.stack([d["max_elevation"] for d in traj.diagnostics], axis=-1)[:, inside]
+    samples = np.stack([d["max_abs_eta"] for d in traj.diagnostics], axis=-1)[:, inside]
     energies = np.stack([d["total_energy"] for d in traj.diagnostics], axis=-1)
     drifts = [nls.relative_drift(e) for e in energies]
     return samples, drifts, len(traj.dt_history)
@@ -266,6 +243,11 @@ def _nls(config: RunConfig) -> RunRecord:
         extra = {}
     else:
         basis = _rom_basis(config)
+        # a projected initial condition is drawn on the configured domain
+        if config.nls_ic == "project" and not math.isclose(basis.length, config.length,
+                                                           rel_tol=1e-12):
+            raise ConfigError(f"nls.basis {config.basis_path} was built on length "
+                              f"{basis.length!r}, not space.length = {config.length!r}")
         a0 = np.stack([_rom_initial_state(config, s, basis) for s in seeds])
         quantities = nls.rom_quantities(basis) if config.scheme == "g-rons" else ()
         series, diag = nls.rom_run(

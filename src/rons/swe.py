@@ -32,35 +32,29 @@ WAVELENGTH_M = 2.13e6
 WAVE_SPEED_M_S = 198.0
 MEAN_DEPTH_M = 4000.0
 GRAVITY_M_S2 = 9.8
+#: The step :func:`central_upwind_scheme`'s CFL rule returns when every
+#: wave speed vanishes.
+FALLBACK_DT = 1e-3
 
 
 @dataclass(frozen=True)
 class SweConfig:
     """Physical constants, topography and scheme parameters.
 
-    ``gravity`` and ``mean_depth`` are dimensionless; when omitted they are
-    derived from the characteristic scales as ``9.8 * wavelength / speed^2``
-    and ``4000 m / wavelength``.  ``limiter_theta`` controls how aggressive
+    ``gravity`` and ``mean_depth`` are dimensionless; they default to the
+    characteristic scales' ``9.8 * wavelength / speed^2`` and
+    ``4000 m / wavelength``.  ``limiter_theta`` controls how aggressive
     the slope limiter is (1 = most dissipative, 2 = least).  ``cfl_factor``
     is the denominator factor in ``dt = dx / (cfl_factor * max wave speed)``.
     """
 
-    wavelength_m: float = WAVELENGTH_M
-    wave_speed_m_s: float = WAVE_SPEED_M_S
-    gravity: float | None = None
-    mean_depth: float | None = None
+    gravity: float = GRAVITY_M_S2 * WAVELENGTH_M / WAVE_SPEED_M_S**2
+    mean_depth: float = MEAN_DEPTH_M / WAVELENGTH_M
     bottom: Callable[[np.ndarray], np.ndarray] | None = None
     limiter_theta: float = 1.2
     cfl_factor: float = 2.0
-    fallback_dt: float = 1e-3
 
     def __post_init__(self):
-        if self.gravity is None:
-            object.__setattr__(
-                self, "gravity", GRAVITY_M_S2 * self.wavelength_m / self.wave_speed_m_s**2
-            )
-        if self.mean_depth is None:
-            object.__setattr__(self, "mean_depth", MEAN_DEPTH_M / self.wavelength_m)
         if self.gravity <= 0:
             raise ValidationError("gravity must be positive")
         if not 1.0 <= self.limiter_theta <= 2.0:
@@ -268,7 +262,7 @@ def central_upwind_scheme(config: SweConfig) -> FluxScheme:
 
     def cfl_dt(U, grid):
         """``dx / (cfl_factor * max(|v| + sqrt(g (eta + H))))``, or
-        ``config.fallback_dt`` when every wave speed vanishes.
+        :data:`FALLBACK_DT` when every wave speed vanishes.
 
         The speeds are formed in the flux workspace, from a field-major copy
         of ``U`` and the depths repeated once per member, so every call runs
@@ -289,7 +283,7 @@ def central_upwind_scheme(config: SweConfig) -> FluxScheme:
         speed += np.abs(v, out=v)
         top = float(speed.max())
         if top < 1e-14:
-            return config.fallback_dt
+            return FALLBACK_DT
         return dx / (config.cfl_factor * top)
 
     return FluxScheme(rhs=rhs, cfl_dt=cfl_dt)
@@ -355,7 +349,7 @@ def gaussian_pulse_ic(grid: FvGrid, config: SweConfig) -> np.ndarray:
     sampled at cell centers (second-order consistent with the scheme).
     """
     x = grid.centers
-    amplitude = 0.1 / config.wavelength_m
+    amplitude = 0.1 / WAVELENGTH_M
     eta = amplitude * np.exp(-((5.0 * (x - 5.0)) ** 2))
     return np.stack((eta, np.zeros_like(eta)))
 
@@ -381,5 +375,5 @@ def random_oscillatory_ic(seed: int, grid: FvGrid, config: SweConfig) -> np.ndar
         return profile
 
     profile, peak = core.positive_profile(draw, seed)
-    eta = profile / (2.0 * config.wavelength_m * peak)
+    eta = profile / (2.0 * WAVELENGTH_M * peak)
     return np.stack((eta, np.zeros_like(eta)))

@@ -322,7 +322,7 @@ class TestStateIntegral:
         config = swe.SweConfig()
         grid = fv.build_grid(10.0, 1024)
         U = swe.gaussian_pulse_ic(grid, config)
-        amplitude = 0.1 / config.wavelength_m
+        amplitude = 0.1 / swe.WAVELENGTH_M
         exact, _ = quad(lambda x: amplitude * np.exp(-((5.0 * (x - 5.0)) ** 2)), 0, 10)
         assert field_integral(grid, U, 0) == pytest.approx(exact, rel=1e-6)
 

@@ -77,6 +77,27 @@ class TestSweSingleRun:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_observed_metrics_match_the_snapshots_bitwise(self, tmp_path):
+        # every observation is a snapshot, so each metric the observer feeds
+        # can be recomputed from the written states
+        text = SWE_SMALL.format(scheme="fv-rons", seed=3, ic="random").replace(
+            "snapshot_times = 0, 1.5", "snapshot_times = 0, 0.5, 1, 1.5")
+        cfg = make_config(tmp_path, text)
+        record = run_experiment(cfg)
+        states = [fields for _, fields in record.field_snapshots]
+        assert len(states) == len(record.times) == 4
+        grid = fv.build_grid(cfg.length, cfg.cells)
+        assert record.metrics["field_l1_max"] == {
+            "total_elevation": max(np.dot(grid.widths, np.abs(s["eta"])) for s in states),
+            "total_velocity": max(np.dot(grid.widths, np.abs(s["v"])) for s in states),
+        }
+        assert record.metrics["max_abs_eta_final"] == np.max(np.abs(states[-1]["eta"]))
+        for q in swe.swe_quantities(grid, swe.SweConfig()):
+            series = np.array([q.value(np.concatenate([s["eta"], s["v"]])) for s in states])
+            assert record.metrics["drift_absolute"][q.name] == np.max(
+                np.abs(series - series[0]))
+
+
 class TestPreparedConstraintSet:
     def test_linear_declared_and_lambda_integrals_write_identical_files(
             self, tmp_path, monkeypatch):
@@ -449,6 +470,30 @@ snapshot_cadence = 0.5
         assert record.metrics["mass_drift"] < 1e-8
         assert record.metrics["energy_drift"] < 1e-8
         assert record.metrics["rom_modes"] == 4
+
+    def test_projected_ic_rejects_a_basis_of_another_length(self, tmp_path):
+        series, _ = nls.dns_run(nls.nls_random_ic(100, 16 * np.pi, 64), 2.0, 0.5)
+        basis_path = tmp_path / "basis.npz"
+        io.save_pod_basis(basis_path, nls.compute_pod(series.snapshots, 3, 16 * np.pi))
+        text = f"""
+[run]
+model = nls-rom
+scheme = g-rons
+[space]
+modes = 64
+length = 10
+[time]
+horizon = 0.5
+[nls]
+basis = {basis_path}
+rom_modes = 3
+ic = {{ic}}
+"""
+        with pytest.raises(ConfigError, match=r"length 50\.26.*space\.length = 10\.0"):
+            run_experiment(make_config(tmp_path, text.format(ic="project")))
+        # a random initial state is drawn in the basis' own coordinates
+        record = run_experiment(make_config(tmp_path, text.format(ic="random")))
+        assert record.metrics["rom_modes"] == 3
 
     def test_training_dns_is_one_batch(self, monkeypatch):
         # all training seeds advance together, and the basis is bitwise the

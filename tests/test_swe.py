@@ -101,7 +101,7 @@ def reference_cfl_dt(U, grid, config):
     lam1, lam2 = swe_eigenvalues(U[..., 0, :], U[..., 1, :], depth, config.gravity)
     speed = max(float(np.max(lam1)), float(np.max(-lam2)))
     if speed < 1e-14:
-        return config.fallback_dt
+        return swe.FALLBACK_DT
     return grid.dx / (config.cfl_factor * speed)
 
 
@@ -183,9 +183,9 @@ class TestCflStep:
         assert swe.central_upwind_scheme(config4).cfl_dt(U, grid) == pytest.approx(dt0 / 2.0)
 
     def test_zero_speed_fallback(self):
-        config = swe.SweConfig(gravity=1.0, mean_depth=0.0, fallback_dt=0.125)
+        config = swe.SweConfig(gravity=1.0, mean_depth=0.0)
         grid = fv.build_grid(10.0, 64)
-        assert swe.central_upwind_scheme(config).cfl_dt(np.zeros((2, 64)), grid) == 0.125
+        assert swe.central_upwind_scheme(config).cfl_dt(np.zeros((2, 64)), grid) == swe.FALLBACK_DT
 
     def test_negative_depth_rejected(self):
         config = swe.SweConfig()
@@ -602,7 +602,7 @@ class TestInitialConditions:
         grid = fv.build_grid(10.0, 512)
         for seed in (0, 7, 19):
             U = swe.random_oscillatory_ic(seed, grid, config)
-            assert np.max(U[0]) == pytest.approx(1.0 / (2.0 * config.wavelength_m), rel=1e-12)
+            assert np.max(U[0]) == pytest.approx(1.0 / (2.0 * swe.WAVELENGTH_M), rel=1e-12)
 
     def test_random_ic_deterministic(self):
         config = swe.SweConfig()
