@@ -653,10 +653,11 @@ def apply_invariant_correction(
 
     The ``(w,)`` gradients -- every gradient of an unbatched call -- are
     shared by the batch: stacked once as ``G_s`` with no batch axis, the
-    inactive ones dropped, they come first in ``C``.  ``C_ss = (M^{-1} G_s) G_s^T`` is one small GEMM;
-    over a batch, ``b_s``, the cross block ``C_so`` and the per-member block
-    use row-wise ``vecdot``, so a member's result does not depend on the
-    batch it sits in (a GEMM rounds by row count).  The result is
+    inactive ones dropped, they come first in ``C``.  ``C_ss = (M^{-1} G_s)
+    G_s^T`` is one small GEMM; over a batch, ``b_s``, the cross block
+    ``C_so`` and the per-member block use row-wise ``vecdot``, so a member's
+    result does not depend on the batch it sits in (a GEMM rounds by row
+    count).  The result is
     ``velocity - lambda_o . M^{-1} G_o - lambda_s @ M^{-1} G_s``.
 
     ``shared`` is that block already built, as a :class:`ConstraintSet`

@@ -124,7 +124,8 @@ def load_snapshots(path) -> SnapshotSeries:
 
 def _read_snapshots(path: Path) -> SnapshotSeries:
     if path.suffix == ".npz":
-        data = dict(np.load(path))
+        with np.load(path) as archive:
+            data = dict(archive)
         return SnapshotSeries(data["times"], data["snapshots"], float(data["length"]))
     if path.suffix == ".json":
         with open(path) as fh:
@@ -211,7 +212,8 @@ def _missing(path: Path, exc: KeyError) -> ValidationError:
 
 def _read_pod_basis(path: Path) -> PodBasis:
     if path.suffix == ".npz":
-        data = dict(np.load(path))
+        with np.load(path) as archive:
+            data = dict(archive)
         mean = data["mean"]
         modes = data["modes"]
         length = float(data["length"])
